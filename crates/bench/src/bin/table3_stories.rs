@@ -1,6 +1,6 @@
 //! Table 3: qualitative top stories for a simulated day, from a tweet-like and
-//! a blog-like corpus (the paper's real corpora are not redistributable; see
-//! DESIGN.md for the substitution).
+//! a blog-like corpus (the paper's real corpora are not redistributable, so
+//! the planted-story simulator stands in for them).
 //!
 //! The setup follows Section 5.3: correlations are computed over the whole day
 //! (no decay), edge weights are raw log-likelihood ratios retained above a 5%

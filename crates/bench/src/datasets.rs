@@ -5,7 +5,7 @@
 //! an *unweighted* one (thresholded log-likelihood ratio, 0/1 weights). The
 //! raw corpus is not redistributable, so the harness generates statistically
 //! similar streams with the planted-story simulator and converts them with the
-//! same association measures (see `DESIGN.md` for the substitution rationale).
+//! same association measures.
 
 use dyndens_graph::EdgeUpdate;
 use dyndens_stream::{ChiSquareCorrelation, LogLikelihoodRatio};

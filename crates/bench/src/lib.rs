@@ -7,8 +7,7 @@
 //!
 //! * **harness binaries** (`src/bin/*.rs`, run with
 //!   `cargo run --release -p dyndens-bench --bin <name>`) print the same rows
-//!   and series the paper reports — one binary per table/figure family; the
-//!   per-experiment index in `DESIGN.md` maps each figure to its binary;
+//!   and series the paper reports — one binary per table/figure family;
 //! * **criterion benches** (`benches/*.rs`, run with `cargo bench`) measure
 //!   the micro-level counterparts (per-update cost, index operations,
 //!   threshold adjustment, heuristics, GRASP iterations).

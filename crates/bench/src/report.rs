@@ -14,8 +14,8 @@ pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples[idx.min(samples.len() - 1)]
 }
 
-/// A simple fixed-width table printer used by the harness binaries so every
-//  experiment emits rows that can be pasted straight into `EXPERIMENTS.md`.
+/// A simple fixed-width table printer used by the harness binaries, so every
+/// experiment emits rows in one plain-text layout.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,

@@ -47,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dyndens_obs::{names, Counter, Gauge, Histogram, ObsEvent};
-use dyndens_shard::PublishWaker;
+use dyndens_shard::{PublishWaker, StoryView};
 
 use crate::net::FrameBuffer;
 use crate::poller::{Event, Interest, Poller};
@@ -134,8 +134,7 @@ impl EventedBackend {
         for (idx, (rx, waker)) in pipes.into_iter().enumerate() {
             let inbox: Arc<Mutex<Vec<Admitted>>> = Arc::new(Mutex::new(Vec::new()));
             dispatch.push((Arc::clone(&inbox), waker.clone()));
-            let mut event_loop =
-                EventLoop::new(rx, inbox, Arc::clone(&shared), Arc::clone(&fleet))?;
+            let mut event_loop = EventLoop::new(rx, inbox, Arc::clone(&shared))?;
             let thread = std::thread::Builder::new()
                 .name(format!("dyndens-serve-loop-{idx}"))
                 .spawn(move || event_loop.run())?;
@@ -243,12 +242,8 @@ struct EventLoop {
     poller: Poller,
     waker_rx: UnixStream,
     inbox: Arc<Mutex<Vec<Admitted>>>,
-    fleet: Arc<dyn PublishWaker>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// The shard count the loop last attached watchers under; a grown
-    /// roster re-walks `StoryView::watch` to cover new shard cells.
-    known_shards: usize,
     obs: Option<LoopObs>,
 }
 
@@ -260,23 +255,19 @@ impl EventLoop {
         waker_rx: UnixStream,
         inbox: Arc<Mutex<Vec<Admitted>>>,
         shared: Arc<Shared>,
-        fleet: Arc<dyn PublishWaker>,
     ) -> io::Result<EventLoop> {
         let obs = shared.obs.registry().map(|registry| LoopObs {
             wakeups: registry.counter(names::SERVE_WAKEUPS_TOTAL, &[]),
             fanout_us: registry.histogram(names::SERVE_FANOUT_LATENCY_US, &[]),
             subscribers: registry.gauge(names::SERVE_SUBSCRIBERS, &[]),
         });
-        let known_shards = shared.view.n_shards();
         Ok(EventLoop {
             shared,
             poller: Poller::new()?,
             waker_rx,
             inbox,
-            fleet,
             conns: Vec::new(),
             free: Vec::new(),
-            known_shards,
             obs,
         })
     }
@@ -442,7 +433,8 @@ impl EventLoop {
         match Request::decode(payload) {
             Ok(Request::Subscribe { since }) => {
                 let started = shared.req_obs.is_some().then(Instant::now);
-                let n_shards = shared.view.n_shards();
+                let pinned = shared.view.pin();
+                let n_shards = pinned.n_shards();
                 let cursor = if since.len() == n_shards {
                     since
                 } else {
@@ -473,7 +465,7 @@ impl EventLoop {
                 // Catch the subscriber up immediately: everything its cursor
                 // is already behind on goes out as the first push.
                 let mut cache = HashMap::new();
-                self.push_to(slot, &mut cache);
+                self.push_to(slot, &pinned, &mut cache);
             }
             Ok(Request::Unsubscribe) => {
                 let started = shared.req_obs.is_some().then(Instant::now);
@@ -525,15 +517,11 @@ impl EventLoop {
 
     /// One fan-out pass: push to every subscribed connection whose cursor a
     /// shard has published past. Runs after every wakeup; a pass that finds
-    /// nothing new costs one atomic load per shard per subscriber.
+    /// nothing new costs one atomic load per shard per subscriber. The whole
+    /// pass answers against one pinned topology, so a split or merge that
+    /// commits mid-pass is picked up by the next wakeup.
     fn fan_out(&mut self) {
-        let n_shards = self.shared.view.n_shards();
-        if n_shards != self.known_shards {
-            // Topology changed: re-walk the watcher attachment so cells
-            // created by the split wake this loop too.
-            self.known_shards = n_shards;
-            self.shared.view.watch(&self.fleet);
-        }
+        let pinned = self.shared.view.pin();
         let started = self.obs.is_some().then(Instant::now);
         let mut cache: HashMap<Vec<u64>, CachedPush> = HashMap::new();
         let mut any = false;
@@ -545,7 +533,7 @@ impl EventLoop {
                 .is_some_and(|c| c.cursor.is_some() && !c.closing);
             if subscribed {
                 any = true;
-                self.push_to(slot, &mut cache);
+                self.push_to(slot, &pinned, &mut cache);
             }
         }
         if let Some(obs) = &self.obs {
@@ -558,11 +546,17 @@ impl EventLoop {
         }
     }
 
-    /// Builds (or reuses) the push frame covering `slot`'s cursor and
-    /// enqueues it, advancing the cursor. No-op when nothing advanced.
-    fn push_to(&mut self, slot: usize, cache: &mut HashMap<Vec<u64>, CachedPush>) {
+    /// Builds (or reuses) the push frame covering `slot`'s cursor against
+    /// the pinned topology and enqueues it, advancing the cursor. No-op when
+    /// nothing advanced.
+    fn push_to(
+        &mut self,
+        slot: usize,
+        pinned: &StoryView,
+        cache: &mut HashMap<Vec<u64>, CachedPush>,
+    ) {
         let shared = Arc::clone(&self.shared);
-        let n_shards = shared.view.n_shards();
+        let n_shards = pinned.n_shards();
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
@@ -579,7 +573,7 @@ impl EventLoop {
         let key = cursor.clone();
         let cached = cache.entry(key.clone()).or_insert_with(|| {
             let mut advanced = key;
-            let entries = poll_entries(&shared, &mut advanced);
+            let entries = poll_entries(&shared, pinned, &mut advanced);
             let frame = if entries.is_empty() {
                 None
             } else {

@@ -620,9 +620,14 @@ pub(crate) fn error_response(failure: &DecodeFailure) -> Response {
 /// `Poll` handler and the push fan-out): deltas when retention covers the
 /// cursor, a resync snapshot when it does not. Advances `cursor[shard]` to
 /// the sequence each entry catches the reader up to and maintains the resync
-/// counter and journal.
-pub(crate) fn poll_entries(shared: &Shared, cursor: &mut [u64]) -> Vec<ShardPoll> {
-    let view = &shared.view;
+/// counter and journal. The cursor must match the pinned topology's shard
+/// count: the whole cursor is answered from that one roster, so a merge that
+/// commits mid-pass cannot shrink it under the walk.
+pub(crate) fn poll_entries(
+    shared: &Shared,
+    view: &StoryView,
+    cursor: &mut [u64],
+) -> Vec<ShardPoll> {
     let mut entries = Vec::new();
     for (shard, slot) in cursor.iter_mut().enumerate() {
         let since_seq = *slot;
@@ -700,7 +705,8 @@ pub(crate) fn handle_request(request: &Request, shared: &Shared) -> Response {
             }
         }
         Request::Poll { since } => {
-            let n_shards = view.n_shards();
+            let pinned = view.pin();
+            let n_shards = pinned.n_shards();
             // A cursor whose length disagrees with the current topology is a
             // reader from before a shard split (or from another deployment):
             // treat it as the bootstrap cursor. The reply's `n_shards` tells
@@ -712,7 +718,7 @@ pub(crate) fn handle_request(request: &Request, shared: &Shared) -> Response {
             } else {
                 vec![0; n_shards]
             };
-            let entries = poll_entries(shared, &mut cursor);
+            let entries = poll_entries(shared, &pinned, &mut cursor);
             Response::Poll {
                 n_shards: n_shards as u32,
                 entries,
@@ -720,14 +726,15 @@ pub(crate) fn handle_request(request: &Request, shared: &Shared) -> Response {
         }
         Request::Stats => {
             let stats = view.stats();
-            let shards = (0..view.n_shards())
+            let pinned = view.pin();
+            let shards = (0..pinned.n_shards())
                 .map(|shard| {
-                    let snapshot = view.shard_snapshot(shard);
+                    let snapshot = pinned.shard_snapshot(shard);
                     ShardStat {
                         shard: shard as u32,
                         seq: snapshot.seq,
                         output_dense: snapshot.output_dense as u64,
-                        delta_coverage_from: view.delta_coverage_from(shard),
+                        delta_coverage_from: pinned.delta_coverage_from(shard),
                     }
                 })
                 .collect();

@@ -135,7 +135,7 @@ mod worker;
 
 pub use config::{FsyncPolicy, PersistenceConfig, ShardConfig, ShardFn};
 pub use rebalance::{
-    MergePhase, MergeReport, RebalanceError, RebalancePolicy, Rebalancer, SplitPhase, SplitReport,
+    MergeReport, RebalanceError, RebalancePolicy, Rebalancer, ReshapePhase, SplitReport,
 };
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use sharded::{IngestHandle, ShardedDynDens, ShardedFleet};

@@ -1,117 +1,99 @@
-//! Live shard rebalancing: splitting a hot shard by snapshot + WAL-slice
-//! replay — and merging cold siblings back together — while the rest of the
-//! fleet keeps ingesting. Split and merge are one generational-map
-//! mechanism: both refine the routing trie, quiesce only the affected
-//! slots, rebuild from durable state, and commit via the same atomic
-//! `MANIFEST` rewrite.
+//! Live shard rebalancing: splitting a hot shard — and merging cold siblings
+//! back together — while the rest of the fleet keeps ingesting.
 //!
 //! A fixed shard count means one hot entity partition caps whole-pipeline
-//! throughput forever. This module removes the cap with an **online split**:
+//! throughput forever, and a fleet split for a long-gone hot spot pays the
+//! per-shard overhead forever. Both directions are one transaction,
+//! `reshape`, over the generational [`ShardMap`]: N parent slots are
+//! replaced by M children, routed by the new map.
 //!
 //! ```text
-//!  1. park     routing[slot] := Parked        (other slots: untouched)
-//!  2. quiesce  flush + stop the slot's worker → its WAL is complete to S
-//!  3. rebuild  newest snapshot ──partition──► child₀ │ child₁
-//!              WAL slice [S₀..S) ──filter through the refined map──► replay
-//!  4. persist  child dirs (snapshot @ S, fresh WAL) + MANIFEST rewrite
-//!  5. commit   publish grown roster; spawn children; drain parked updates
-//!              through the refined map; routing[slot] := child₀, new slot
-//!              := child₁
+//!  1. park     routing[p] := Parked for every parent p (one shared queue;
+//!              every other slot keeps ingesting)
+//!  2. quiesce  stop the parents' workers → engines and WALs complete to
+//!              their seqs Sₚ; each worker hands back its WAL writer
+//!  3. rebuild  parents (snapshot + WAL replay, or the live engines in
+//!              memory) ──absorb──► one engine ──partition by the new
+//!              map──► children, each starting at ΣSₚ
+//!  4. persist  child dirs (snapshot @ ΣSₚ, fresh WAL) + MANIFEST rewrite
+//!              — the commit point
+//!  5. publish  the new roster in one epoch store; launch the children
+//!  6. drain    the parked backlog through the new map, in arrival order
+//!  7. retire   the parents' directories
 //! ```
 //!
-//! Only the split shard pauses (updates routed to it park in an unbounded
-//! queue and are re-routed, in order, at commit); ingest on every other
-//! shard never stops. Readers need no coordination either: the
-//! [`StoryView`](crate::StoryView) roster grows at commit, the split slot's
-//! delta ring restarts empty — pollers resynchronise from its snapshot,
-//! exactly as after crash recovery — and the new slot appears at the split
-//! point's sequence number.
+//! A **split** ([`ShardedFleet::split_shard`]) is N=1 → M=2: the bit-0
+//! child keeps the parent's slot, the bit-1 child takes a new one. A
+//! **merge** ([`ShardedFleet::merge_shards`]) is N=2 → M=1 over two
+//! **sibling** slots (leaves of one `Split` trie node — see
+//! [`ShardMap::merge_candidates`]): the merged shard keeps the smaller
+//! slot, and the last slot is renumbered into the freed one without a
+//! respawn.
+//!
+//! Only the parents pause: updates routed to them park in an unbounded
+//! queue and are re-routed, in order, at commit. Readers need no
+//! coordination either: the [`StoryView`](crate::StoryView) roster changes
+//! in one store, every child's delta ring starts empty — pollers resync
+//! from its snapshot, exactly as after crash recovery — and a renumbered
+//! slot keeps its ring, so its pollers follow deltas under the new index.
+//! Publication watchers attached to the roster are attached to every child
+//! cell before it publishes, so one [`StoryView::watch`](crate::StoryView::watch)
+//! covers every later topology.
 //!
 //! ## Equivalence
 //!
-//! The children are rebuilt by *filtered replay*: the parent's newest
-//! checkpoint is partitioned by the refined routing
-//! ([`MaintenanceEngine::partition_by`]), then the WAL slice past it is replayed with
-//! each update routed to the child that now owns its minimum endpoint.
-//! Under the partitioning invariant (no maintained subgraph spans the two
-//! children — see the crate docs) each child is **bit-identical** to an
-//! engine that only ever saw its own slice, so splitting mid-stream yields
-//! exactly the story sets of a never-split run
-//! (`tests/rebalance_equivalence.rs`). The work ledger is preserved too:
-//! rebuild replay counts nothing and child 0 adopts the parent's live
-//! counters.
+//! Under the partitioning invariant (no maintained subgraph spans two
+//! shards — see the crate docs) the children of a split
+//! ([`MaintenanceEngine::partition_by`]) are **bit-identical** to engines
+//! that only ever saw their own slices, and a merged engine
+//! ([`MaintenanceEngine::absorb`]) to one that saw both: a split or merge
+//! mid-stream yields exactly the story sets of a fleet that never changed
+//! topology (`tests/rebalance_equivalence.rs`). The work ledger is preserved
+//! too: rebuild replay counts nothing, and the first child adopts the
+//! parents' live counters.
 //!
-//! ## Crash safety
+//! ## Crash safety and failure containment
 //!
 //! The manifest rewrite is the commit point. The children's snapshots and
-//! WALs are durable *before* it; the parent directory is retired *after* it.
-//! A crash before the rewrite recovers the parent (orphan child directories
-//! are overwritten by the next split attempt — engine ids are persisted in
-//! the manifest and never reused); a crash after recovers the children.
+//! WALs are durable *before* it; the parents' directories are retired
+//! *after* it. A crash before the rewrite recovers the parents (orphan child
+//! directories are overwritten by the next attempt — engine ids are
+//! persisted in the manifest and never reused); a crash after recovers the
+//! children.
 //!
-//! ## Failure containment
-//!
-//! If rebuilding fails (damaged snapshot, torn WAL, disk errors), the split
-//! **resurrects the parent**: its on-disk state is complete up to the
-//! quiesce point, so the standard recovery path rebuilds it, parked updates
-//! are drained to it unchanged, and the fleet continues un-split with the
-//! error reported to the caller.
-//!
-//! ## Merge: the split's inverse
-//!
-//! On decaying workloads, slices go cold: their stories decay out, their
-//! traffic dries up, and a fleet split for a long-gone hot spot pays the
-//! per-shard overhead forever. [`ShardedFleet::merge_shards`] coarsens two
-//! **sibling** slots (leaves of one `Split` trie node — see
-//! [`ShardMap::merge_candidates`]) back into one:
-//!
-//! ```text
-//!  1. park     routing[a] := routing[b] := Parked   (one shared queue)
-//!  2. quiesce  flush + stop both workers → both WALs complete
-//!  3. rebuild  child₀ (recovered) ──absorb──► merged ◄── child₁ (recovered)
-//!  4. persist  merged dir (snapshot @ Sₐ+S_b, fresh WAL) + MANIFEST rewrite
-//!  5. commit   publish shrunk roster (last slot renumbered into the freed
-//!              one, its worker *not* respawned); drain the parked backlog
-//!              to the merged worker; routing serves the coarsened map
-//! ```
-//!
-//! The merged engine is the children's union ([`MaintenanceEngine::absorb`]), so a
-//! merge mid-stream yields bit-identical story sets to a fleet that never
-//! split at all (`tests/rebalance_equivalence.rs`). Failure containment
-//! mirrors the split: a failed rebuild resurrects **both** children from
-//! their intact per-child state. [`Rebalancer::maybe_merge`] drives merges
-//! from a cold-slot policy, the mirror image of the hot-slot split policy.
+//! If the rebuild fails (damaged snapshot, corrupt WAL, disk errors), the
+//! parents are relaunched on their intact live engines and their own WAL
+//! writers — no disk read — the parked backlog is drained to them through
+//! the unchanged map, and the fleet continues as before with the error
+//! reported to the caller (`tests/rebalance_abort.rs`).
+//! [`Rebalancer`] drives both directions from a hot-slot split policy and
+//! a cold-pair merge policy.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dyndens_core::{EngineBlueprint, EngineStats, MaintenanceEngine};
-use dyndens_graph::{MergeSpec, ShardMap, VertexId};
+use dyndens_graph::{EdgeUpdate, ShardMap};
 use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
 use crate::recovery::{self, RecoveryError};
-use crate::sharded::{spawn_worker, ShardTx, ShardedFleet};
-use crate::view::{DeltaRing, EpochCell, ShardRoster, ShardSnapshot};
-use crate::wal::{self, WalWriter};
-use crate::worker::{self, WorkerMsg, WorkerPersistence};
+use crate::sharded::{launch, spawn_worker, ShardTx, ShardedFleet};
+use crate::view::ShardRoster;
+use crate::wal::WalWriter;
+use crate::worker::{WorkerMsg, WorkerPersistence};
 
-/// An error splitting a shard. The fleet is left routing exactly as before
-/// the attempt (the parent is resurrected from its own persistent state)
-/// unless resurrection itself fails — a double fault — in which case the
-/// slot stays parked: updates routed to it are still accepted and accumulate
-/// in memory (never applied or logged, so they are lost on restart), every
-/// other shard keeps working, and the deployment should be restarted so
-/// recovery rebuilds the parent from disk.
+/// An error splitting or merging shards. The fleet is left routing exactly
+/// as before the attempt: the parents are relaunched on their live engines
+/// and WAL writers, and the updates that parked meanwhile are applied.
 #[derive(Debug)]
 pub enum RebalanceError {
     /// Filesystem failure while rebuilding or persisting the children.
     Io(io::Error),
-    /// The parent's persisted state could not be read back (damaged
+    /// A parent's persisted state could not be read back (damaged
     /// snapshot, corrupt WAL segment, …).
     Recovery(RecoveryError),
     /// The slot does not name a live worker (or its route-trie leaf already
@@ -121,13 +103,13 @@ pub enum RebalanceError {
     /// trie (only pairs produced by one split — see
     /// [`ShardMap::merge_candidates`] — can be merged).
     NotSiblings(usize, usize),
-    /// The parent's snapshot + WAL slice did not reach the quiesce point:
-    /// replay rebuilt state up to `found` but the worker had applied
-    /// `expected` updates. Indicates missing WAL records.
+    /// A parent's snapshot + WAL did not reach its quiesce point: replay
+    /// rebuilt state up to `found` but the worker had applied `expected`
+    /// updates. Indicates missing WAL records.
     HistoryGap {
         /// The parent's sequence number at quiesce.
         expected: u64,
-        /// The sequence number filtered replay actually reached.
+        /// The sequence number replay actually reached.
         found: u64,
     },
 }
@@ -157,7 +139,7 @@ impl std::fmt::Display for RebalanceError {
             }
             RebalanceError::HistoryGap { expected, found } => write!(
                 f,
-                "split replay reached sequence {found} but the shard had applied {expected}; \
+                "rebalance replay reached sequence {found} but the shard had applied {expected}; \
                  WAL records are missing"
             ),
         }
@@ -166,22 +148,24 @@ impl std::fmt::Display for RebalanceError {
 
 impl std::error::Error for RebalanceError {}
 
-/// The milestones of one split, reported to the observer callback of
-/// [`ShardedFleet::split_shard_with`]. Operational monitoring can hang off
-/// these; the equivalence tests use [`Parked`](SplitPhase::Parked) to ingest
-/// concurrently and prove that untouched shards keep applying updates while
-/// the split shard is down.
+/// The milestones of one split or merge, reported to the observer callback
+/// of [`ShardedFleet::split_shard_with`] and
+/// [`ShardedFleet::merge_shards_with`]. Operational monitoring can hang off
+/// these; the equivalence tests use [`Parked`](ReshapePhase::Parked) to
+/// ingest concurrently and prove that untouched shards keep applying updates
+/// while the reshaped slots are down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitPhase {
-    /// The slot's worker is quiesced and stopped; updates routed to the slot
-    /// are parking. Every other shard is ingesting normally.
+pub enum ReshapePhase {
+    /// The parent slots' workers are quiesced and stopped; updates routed to
+    /// them are parking. Every other shard is ingesting normally.
     Parked,
-    /// Both children are rebuilt (and, for persistent deployments, durable
-    /// on disk with the manifest rewritten — the split is now the committed
-    /// topology even across a crash).
+    /// The children are rebuilt (and, for persistent deployments, durable
+    /// on disk with the manifest rewritten — the new topology is now
+    /// committed even across a crash).
     Rebuilt,
-    /// Routing serves the refined map; parked updates have been re-routed;
-    /// the children's workers are live.
+    /// Routing serves the new map; the parked backlog has been drained to
+    /// the children, whose workers are live; a displaced last slot is
+    /// renumbered.
     Committed,
 }
 
@@ -201,29 +185,12 @@ pub struct SplitReport {
     /// Sequence number of the checkpoint the rebuild started from (0 when
     /// the rebuild partitioned live in-memory state or started fresh).
     pub snapshot_seq: u64,
-    /// WAL updates replayed (filtered) past the checkpoint.
+    /// WAL updates replayed past the checkpoint.
     pub replayed_updates: u64,
     /// Updates that parked during the split and were re-routed at commit.
     pub parked_updates: u64,
     /// The routing-table generation after the split.
     pub generation: u64,
-}
-
-/// The milestones of one merge, reported to the observer callback of
-/// [`ShardedFleet::merge_shards_with`]. The mirror image of
-/// [`SplitPhase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergePhase {
-    /// Both sibling slots' workers are quiesced and stopped; updates routed
-    /// to either slot are parking. Every other shard is ingesting normally.
-    Parked,
-    /// The merged shard is rebuilt (and, for persistent deployments, durable
-    /// on disk with the manifest rewritten — the coarsened map is now the
-    /// committed topology even across a crash).
-    Rebuilt,
-    /// Routing serves the coarsened map; parked updates have been drained to
-    /// the merged worker; the displaced last slot (if any) is renumbered.
-    Committed,
 }
 
 /// What a completed merge did.
@@ -299,13 +266,14 @@ impl Default for RebalancePolicy {
 /// **ingest queue depth** ([`ShardedFleet::queue_depths`], routed minus
 /// applied — the backpressure measure) and the per-slot share of updates
 /// applied **since the previous check**, derived from the published
-/// [`ShardSnapshot`] stats (the skew measure). The share signal is a *rate*,
-/// not a lifetime counter, for two reasons: a slot that was hot an hour ago
-/// but is balanced now must not be split, and the child that adopts the
-/// parent's cumulative ledger after a split must not look eternally hot.
-/// That makes the rebalancer stateful: the first [`pick`](Rebalancer::pick)
-/// after construction (or after a topology change) only establishes the
-/// baseline window. Drive it from an operations loop:
+/// [`ShardSnapshot`](crate::ShardSnapshot) stats (the skew measure). The
+/// share signal is a *rate*, not a lifetime counter, for two reasons: a slot
+/// that was hot an hour ago but is balanced now must not be split, and the
+/// child that adopts the parent's cumulative ledger after a split must not
+/// look eternally hot. That makes the rebalancer stateful: the first
+/// [`pick`](Rebalancer::pick) after construction (or after a topology
+/// change) only establishes the baseline window. Drive it from an
+/// operations loop:
 ///
 /// ```no_run
 /// use dyndens_shard::{rebalance::Rebalancer, ShardConfig, ShardedDynDens};
@@ -322,7 +290,7 @@ impl Default for RebalancePolicy {
 ///     // ... ingest for a while ...
 ///     if let Some(result) = rebalancer.maybe_split(&mut fleet) {
 ///         let report = result.expect("split failed");
-///         eprintln!("split shard {} -> +{}", report.slot, report.new_slot);
+///         println!("split shard {} -> +{}", report.slot, report.new_slot);
 ///     }
 /// }
 /// ```
@@ -338,6 +306,28 @@ pub struct Rebalancer {
     /// kept separate from the split baseline so an operations loop can drive
     /// both signals without the two consuming each other's windows.
     merge_baseline: Vec<u64>,
+}
+
+/// Per-slot updates applied since `baseline`, which then moves to the
+/// current counters. `None` while the window is being established: on the
+/// first call, and whenever a topology change altered the slot count.
+fn share_window<B: EngineBlueprint>(
+    fleet: &ShardedFleet<B>,
+    baseline: &mut Vec<u64>,
+) -> Option<Vec<u64>> {
+    let view = fleet.view().pin();
+    let applied: Vec<u64> = (0..view.n_shards())
+        .map(|s| view.shard_snapshot(s).stats.updates)
+        .collect();
+    let deltas = (baseline.len() == applied.len()).then(|| {
+        applied
+            .iter()
+            .zip(baseline.iter())
+            .map(|(now, base)| now.saturating_sub(*base))
+            .collect()
+    });
+    *baseline = applied;
+    deltas
 }
 
 impl Rebalancer {
@@ -361,22 +351,7 @@ impl Rebalancer {
     /// window since the previous `pick` (the first call after construction
     /// or a topology change only establishes the window).
     pub fn pick<B: EngineBlueprint>(&mut self, fleet: &ShardedFleet<B>) -> Option<usize> {
-        let view = fleet.view();
-        let applied: Vec<u64> = (0..view.n_shards())
-            .map(|s| view.shard_snapshot(s).stats.updates)
-            .collect();
-        let window_valid = self.baseline.len() == applied.len();
-        let deltas: Vec<u64> = if window_valid {
-            applied
-                .iter()
-                .zip(&self.baseline)
-                .map(|(now, base)| now.saturating_sub(*base))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.baseline = applied;
-
+        let deltas = share_window(fleet, &mut self.baseline).unwrap_or_default();
         let depths = fleet.queue_depths();
         let total: u64 = deltas.iter().sum();
         // Publish the two signals the decision is based on — the observed
@@ -397,10 +372,8 @@ impl Rebalancer {
                     return Some(slot);
                 }
             }
-            if !window_valid || deltas.len() < 2 {
-                return None;
-            }
-            if total < self.policy.min_total_updates {
+            // An unestablished window is empty, so this also waits for one.
+            if deltas.len() < 2 || total < self.policy.min_total_updates {
                 return None;
             }
             let (slot, &most) = deltas.iter().enumerate().max_by_key(|&(_, &n)| n)?;
@@ -441,24 +414,7 @@ impl Rebalancer {
         &mut self,
         fleet: &ShardedFleet<B>,
     ) -> Option<(usize, usize)> {
-        let view = fleet.view();
-        let applied: Vec<u64> = (0..view.n_shards())
-            .map(|s| view.shard_snapshot(s).stats.updates)
-            .collect();
-        let window_valid = self.merge_baseline.len() == applied.len();
-        let deltas: Vec<u64> = if window_valid {
-            applied
-                .iter()
-                .zip(&self.merge_baseline)
-                .map(|(now, base)| now.saturating_sub(*base))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.merge_baseline = applied;
-        if !window_valid {
-            return None;
-        }
+        let deltas = share_window(fleet, &mut self.merge_baseline)?;
         let total: u64 = deltas.iter().sum();
         if total < self.policy.min_total_updates {
             return None;
@@ -488,9 +444,46 @@ impl Rebalancer {
     }
 }
 
-/// What the disk rebuild measured, folded into the [`SplitReport`].
-struct RebuildDetail {
+/// One topology change, as the shared transaction sees it.
+struct Reshape<'a> {
+    /// The parent shards as `(slot, engine id)`: parked, quiesced and
+    /// rebuilt together, absorbed in this order.
+    parents: &'a [(usize, u64)],
+    /// The children as `(slot, engine id)`, in routing-bit order. A slot one
+    /// past the last grows the fleet.
+    children: &'a [(usize, u64)],
+    /// The slot a merge frees; the last slot is renumbered into it.
+    freed: Option<usize>,
+    /// The routing table after the change.
+    new_map: ShardMap,
+    /// The journal record of a stage, given the parked and replayed counts.
+    event: &'a dyn Fn(RebalanceStage, u64, u64) -> ObsEvent,
+    /// The counter a committed change bumps.
+    committed: &'static str,
+}
+
+/// What a committed reshape measured, for the split and merge reports.
+struct Reshaped {
+    /// The parents' sequence numbers at quiesce, in `parents` order; every
+    /// child starts at their sum.
+    parent_seqs: Vec<u64>,
+    /// The checkpoints replay started from, summed over the parents.
     snapshot_seq: u64,
+    /// WAL updates replayed past them.
+    replayed: u64,
+    /// Parked updates drained to the children.
+    parked: u64,
+    /// The routing-table generation after the change.
+    generation: u64,
+}
+
+/// The rebuilt children, with what their rebuild replayed.
+struct Rebuilt<E> {
+    /// Each child's engine and durability half, in `children` order.
+    children: Vec<(E, Option<WorkerPersistence>)>,
+    /// The checkpoints replay started from, summed over the parents.
+    snapshot_seq: u64,
+    /// WAL updates replayed past them.
     replayed: u64,
 }
 
@@ -503,7 +496,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         self.split_shard_with(slot, |_| {})
     }
 
-    /// Splits worker `slot`, invoking `observer` at each [`SplitPhase`].
+    /// Splits worker `slot`, invoking `observer` at each [`ReshapePhase`].
     ///
     /// Only the split shard pauses: updates routed to it during the split
     /// park (unbounded) and are re-routed through the refined map at commit;
@@ -513,258 +506,52 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// from its post-split snapshot (its delta ring restarts empty, exactly
     /// like after crash recovery).
     ///
-    /// For persistent deployments the children are rebuilt from the parent's
-    /// newest checkpoint plus its WAL slice, both filtered through the
-    /// refined routing, and the split commits durably via a manifest
-    /// rewrite. In-memory deployments partition the live engine instead.
-    /// See the [module docs](crate::rebalance) for the full protocol,
-    /// equivalence guarantees and failure semantics.
+    /// For persistent deployments the parent is replayed from its newest
+    /// checkpoint plus its WAL, partitioned by the refined routing, and the
+    /// split commits durably via a manifest rewrite. In-memory deployments
+    /// partition the live engine instead. See the
+    /// [module docs](crate::rebalance) for the full protocol, equivalence
+    /// guarantees and failure semantics.
     pub fn split_shard_with(
         &mut self,
         slot: usize,
-        mut observer: impl FnMut(SplitPhase),
+        mut observer: impl FnMut(ReshapePhase),
     ) -> Result<SplitReport, RebalanceError> {
-        // Refine the map first: it also validates the slot.
-        let mut new_map = {
-            let routing = self.routing.read().expect("routing poisoned");
-            routing.map.clone()
-        };
+        let mut new_map = self.shard_map();
         let spec = new_map
             .split(slot)
             .ok_or(RebalanceError::UnknownShard(slot))?;
-
-        // 1. Park the slot: new ingest for it accumulates unconsumed. The
-        // pause clock runs from here to commit — the whole window in which
-        // the slot is not applying updates.
-        let pause_started = Instant::now();
-        let (park_tx, park_rx) = channel();
-        let old_tx = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            match std::mem::replace(&mut routing.senders[slot], ShardTx::Parked(park_tx)) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    // Defensive: a slot can only be parked by a split, and
-                    // splits are serialised by `&mut self`. Restore and bail.
-                    routing.senders[slot] = parked;
-                    return Err(RebalanceError::UnknownShard(slot));
-                }
-            }
+        let event = |stage: RebalanceStage, parked: u64, replayed: u64| ObsEvent::SplitPhase {
+            slot: slot as u32,
+            new_slot: spec.new_slot as u32,
+            stage,
+            parked,
+            replayed,
         };
-
-        // 2. Quiesce the parent: everything routed before the park is
-        // applied (and, when persistent, in the WAL), then the worker stops.
-        let (ack_tx, ack_rx) = channel();
-        let _ = old_tx.send(WorkerMsg::Flush(ack_tx));
-        let _ = ack_rx.recv();
-        let _ = old_tx.send(WorkerMsg::Shutdown);
-        drop(old_tx);
-        if let Some(handle) = self.workers[slot].take() {
-            let _ = handle.join();
-        }
-        let roster = self.roster.load();
-        let parent_seq = roster.cells[slot].seq();
-        observer(SplitPhase::Parked);
-        // One journal span covers the whole split; the Committed record is
-        // enriched with the report counts. An aborted split leaves the span
-        // open — a Begin without an End marks the failed attempt.
-        let split_event =
-            |stage: RebalanceStage, parked: u64, replayed: u64| ObsEvent::SplitPhase {
-                slot: slot as u32,
-                new_slot: spec.new_slot as u32,
-                stage,
-                parked,
-                replayed,
-            };
-        let obs_span = self
-            .config
-            .obs
-            .registry()
-            .map(|registry| registry.begin(split_event(RebalanceStage::Parked, 0, 0)));
-
-        // 3. Rebuild the children; on failure, resurrect the parent.
-        let keep = |v: VertexId| new_map.route(v) == slot;
-        let built = self.build_children(&keep, slot, parent_seq, &spec, &new_map);
-        let (mut child_zero, mut child_one, persist, detail) = match built {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.resurrect_parent(slot, parent_seq, park_rx);
-                return Err(e);
-            }
-        };
-        observer(SplitPhase::Rebuilt);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.note(
-                span,
-                split_event(RebalanceStage::Rebuilt, 0, detail.replayed),
-            );
-        }
-
-        // 4. Publish the grown roster in ONE epoch store, so readers switch
-        // from "parent owns the slot" to "both children exist" atomically —
-        // no interleaving can observe child zero without child one (which
-        // would transiently lose the moved slice's stories). Both children
-        // get *fresh* cells initialised at the split point: the split slot's
-        // sequence numbers stay monotone (its old cell sat at `parent_seq`
-        // too, holding the parent's final snapshot until the swap), and both
-        // delta rings start empty, so pollers resync exactly as after crash
-        // recovery.
-        let (persist_zero, persist_one) = persist;
-        let fresh_cell = |shard: usize, engine: &mut B::Engine| {
-            let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(shard)));
-            cell.store_with_seq(
-                Arc::new(worker::build_snapshot(
-                    shard,
-                    engine,
-                    parent_seq,
-                    parent_seq,
-                    &[],
-                    self.config.top_k,
-                )),
-                parent_seq,
-            );
-            cell
-        };
-        let mut cells = roster.cells.clone();
-        let mut rings = roster.rings.clone();
-        cells[slot] = fresh_cell(slot, &mut child_zero);
-        rings[slot] = Arc::new(DeltaRing::new(self.config.delta_retention));
-        cells.push(fresh_cell(spec.new_slot, &mut child_one));
-        rings.push(Arc::new(DeltaRing::new(self.config.delta_retention)));
-        let engine_zero = Arc::new(Mutex::new(child_zero));
-        let engine_one = Arc::new(Mutex::new(child_one));
-        let (tx_zero, handle_zero, slot_zero) = spawn_worker(
-            slot,
-            &self.config,
-            parent_seq,
-            persist_zero,
-            &engine_zero,
-            &cells[slot],
-            &rings[slot],
-        );
-        let (tx_one, handle_one, slot_one) = spawn_worker(
-            spec.new_slot,
-            &self.config,
-            parent_seq,
-            persist_one,
-            &engine_one,
-            &cells[spec.new_slot],
-            &rings[spec.new_slot],
-        );
-        self.engines[slot] = engine_zero;
-        self.engines.push(engine_one);
-        self.workers[slot] = Some(handle_zero);
-        self.workers.push(Some(handle_one));
-        self.slots[slot] = slot_zero;
-        self.slots.push(slot_one);
-        self.roster.store(Arc::new(ShardRoster { cells, rings }));
-
-        // 5. Commit routing: install the refined map and drain the parked
-        // backlog through it, in arrival order. Holding the write lock here
-        // guarantees no sender is mid-send, so the drain is complete.
-        let parked_updates = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let (mut to_zero, mut to_one) = (0u64, 0u64);
-            let route_one = |u: &dyndens_graph::EdgeUpdate| new_map.route(u.a.min(u.b)) != slot;
-            while let Ok(msg) = park_rx.try_recv() {
-                match msg {
-                    WorkerMsg::Update(u) => {
-                        if route_one(&u) {
-                            to_one += 1;
-                            let _ = tx_one.send(WorkerMsg::Update(u));
-                        } else {
-                            to_zero += 1;
-                            let _ = tx_zero.send(WorkerMsg::Update(u));
-                        }
-                    }
-                    WorkerMsg::Batch(batch) => {
-                        let (mut zero, mut one) = (Vec::new(), Vec::new());
-                        for u in batch {
-                            if route_one(&u) {
-                                one.push(u);
-                            } else {
-                                zero.push(u);
-                            }
-                        }
-                        to_zero += zero.len() as u64;
-                        to_one += one.len() as u64;
-                        if !zero.is_empty() {
-                            let _ = tx_zero.send(WorkerMsg::Batch(zero));
-                        }
-                        if !one.is_empty() {
-                            let _ = tx_one.send(WorkerMsg::Batch(one));
-                        }
-                    }
-                    // A flush parked mid-split must cover both children.
-                    WorkerMsg::Flush(ack) => {
-                        let _ = tx_zero.send(WorkerMsg::Flush(ack.clone()));
-                        let _ = tx_one.send(WorkerMsg::Flush(ack));
-                    }
-                    // So must a compaction pass; the waiter's sum simply
-                    // receives two acknowledgements for the parked slot.
-                    WorkerMsg::Compact { min_weight, ack } => {
-                        let _ = tx_zero.send(WorkerMsg::Compact {
-                            min_weight,
-                            ack: ack.clone(),
-                        });
-                        let _ = tx_one.send(WorkerMsg::Compact { min_weight, ack });
-                    }
-                    WorkerMsg::Shutdown => {
-                        let _ = tx_zero.send(WorkerMsg::Shutdown);
-                        let _ = tx_one.send(WorkerMsg::Shutdown);
-                    }
-                }
-            }
-            routing.senders[slot] = ShardTx::Live(tx_zero);
-            routing.senders.push(ShardTx::Live(tx_one));
-            routing.routed[slot] = Arc::new(AtomicU64::new(parent_seq + to_zero));
-            routing
-                .routed
-                .push(Arc::new(AtomicU64::new(parent_seq + to_one)));
-            // The routed cells were re-seeded: point the registry's
-            // per-shard routed series at the fresh cells.
-            if let Some(registry) = self.config.obs.registry() {
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &slot.to_string())],
-                    Arc::clone(&routing.routed[slot]),
-                );
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &spec.new_slot.to_string())],
-                    Arc::clone(&routing.routed[spec.new_slot]),
-                );
-            }
-            routing.map = new_map.clone();
-            to_zero + to_one
-        };
-
-        // 6. Retire the parent's directory (the manifest no longer
-        // references it; best-effort — an orphan is harmless).
-        if let Some(p) = &self.persistence {
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.parent_engine));
-        }
-        observer(SplitPhase::Committed);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.end(
-                span,
-                split_event(RebalanceStage::Committed, parked_updates, detail.replayed),
-            );
-            registry.counter(names::SPLITS_TOTAL, &[]).inc();
-            registry
-                .histogram(names::REBALANCE_PAUSE_US, &[])
-                .record_micros(pause_started.elapsed());
-        }
-
+        let done = self.reshape(
+            Reshape {
+                parents: &[(slot, spec.parent_engine)],
+                children: &[
+                    (slot, spec.child_zero_engine),
+                    (spec.new_slot, spec.child_one_engine),
+                ],
+                freed: None,
+                new_map,
+                event: &event,
+                committed: names::SPLITS_TOTAL,
+            },
+            &mut observer,
+        )?;
         Ok(SplitReport {
             slot,
             new_slot: spec.new_slot,
             parent_engine: spec.parent_engine,
             child_engines: (spec.child_zero_engine, spec.child_one_engine),
-            parent_seq,
-            snapshot_seq: detail.snapshot_seq,
-            replayed_updates: detail.replayed,
-            parked_updates,
-            generation: new_map.generation(),
+            parent_seq: done.parent_seqs[0],
+            snapshot_seq: done.snapshot_seq,
+            replayed_updates: done.replayed,
+            parked_updates: done.parked,
+            generation: done.generation,
         })
     }
 
@@ -776,7 +563,8 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     /// Merges sibling worker slots `a` and `b` — the exact inverse of the
-    /// split that created them — invoking `observer` at each [`MergePhase`].
+    /// split that created them — invoking `observer` at each
+    /// [`ReshapePhase`].
     ///
     /// Only the two siblings pause: updates routed to either park
     /// (unbounded, on one shared queue) and are drained to the merged worker
@@ -788,692 +576,415 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// split or crash recovery; a renumbered slot keeps its delta ring, so
     /// its pollers follow deltas seamlessly under the new index.
     ///
-    /// For persistent deployments the merged engine is rebuilt from the two
-    /// children's own durable state — each recovered to its quiesce point,
-    /// then absorbed into one engine ([`MaintenanceEngine::absorb`]) — and the merge
-    /// commits durably via the same atomic manifest rewrite as a split.
-    /// In-memory deployments absorb the live engines directly. If the
-    /// rebuild fails, both children are resurrected from their intact state
-    /// and the fleet continues un-merged with the error reported.
+    /// For persistent deployments each sibling is replayed from its own
+    /// durable state to its quiesce point, then absorbed into one engine
+    /// ([`MaintenanceEngine::absorb`]), and the merge commits durably via the
+    /// same atomic manifest rewrite as a split. In-memory deployments absorb
+    /// the live engines directly. If the rebuild fails, both siblings are
+    /// relaunched and the fleet continues un-merged with the error reported.
     pub fn merge_shards_with(
         &mut self,
         a: usize,
         b: usize,
-        mut observer: impl FnMut(MergePhase),
+        mut observer: impl FnMut(ReshapePhase),
     ) -> Result<MergeReport, RebalanceError> {
-        // Coarsen the map first: it also validates that the pair is a
-        // sibling pair.
-        let mut new_map = {
-            let routing = self.routing.read().expect("routing poisoned");
-            routing.map.clone()
-        };
+        let mut new_map = self.shard_map();
         let spec = new_map
             .merge(a, b)
             .ok_or(RebalanceError::NotSiblings(a, b))?;
-
-        // 1. Park both siblings on one shared queue: new ingest for either
-        // accumulates unconsumed (per-sender order is preserved, which is
-        // all the merged engine needs — the two slices touch disjoint
-        // edges). The pause clock runs from here to commit.
-        let pause_started = Instant::now();
-        let (park_tx, park_rx) = channel();
-        let (old_tx_kept, old_tx_freed) = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let kept = match std::mem::replace(
-                &mut routing.senders[spec.slot],
-                ShardTx::Parked(park_tx.clone()),
-            ) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    routing.senders[spec.slot] = parked;
-                    return Err(RebalanceError::UnknownShard(spec.slot));
-                }
-            };
-            let freed = match std::mem::replace(
-                &mut routing.senders[spec.freed_slot],
-                ShardTx::Parked(park_tx),
-            ) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    routing.senders[spec.freed_slot] = parked;
-                    routing.senders[spec.slot] = ShardTx::Live(kept);
-                    return Err(RebalanceError::UnknownShard(spec.freed_slot));
-                }
-            };
-            (kept, freed)
-        };
-
-        // 2. Quiesce both: everything routed before the park is applied
-        // (and, when persistent, in each child's WAL), then the workers
-        // stop.
-        let quiesce = |tx: SyncSender<WorkerMsg>, handle: Option<JoinHandle<()>>| {
-            let (ack_tx, ack_rx) = channel();
-            let _ = tx.send(WorkerMsg::Flush(ack_tx));
-            let _ = ack_rx.recv();
-            let _ = tx.send(WorkerMsg::Shutdown);
-            drop(tx);
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-        };
-        quiesce(old_tx_kept, self.workers[spec.slot].take());
-        quiesce(old_tx_freed, self.workers[spec.freed_slot].take());
-        let roster = self.roster.load();
-        let seq_zero = roster.cells[spec.zero_slot].seq();
-        let seq_one = roster.cells[spec.one_slot].seq();
-        let merged_seq = seq_zero + seq_one;
-        observer(MergePhase::Parked);
-        // One journal span covers the whole merge, mirroring the split span;
-        // an aborted merge leaves it open (Begin without End).
-        let merge_event = |stage: RebalanceStage, parked: u64| ObsEvent::MergePhase {
+        let event = |stage: RebalanceStage, parked: u64, _replayed: u64| ObsEvent::MergePhase {
             slot: spec.slot as u32,
             freed_slot: spec.freed_slot as u32,
             stage,
             parked,
         };
-        let obs_span = self
-            .config
-            .obs
-            .registry()
-            .map(|registry| registry.begin(merge_event(RebalanceStage::Parked, 0)));
-
-        // 3. Rebuild the merged shard; on failure, resurrect both children.
-        let live_stats = {
-            let mut stats = self.engines[spec.slot]
-                .lock()
-                .expect("shard engine poisoned")
-                .stats()
-                .clone();
-            stats.merge(
-                self.engines[spec.freed_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .stats(),
-            );
-            stats
-        };
-        let built = self.build_merged(&spec, (seq_zero, seq_one), live_stats, &new_map);
-        let (mut merged, persist) = match built {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.resurrect_merge_children(&spec, park_rx);
-                return Err(e);
-            }
-        };
-        observer(MergePhase::Rebuilt);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.note(span, merge_event(RebalanceStage::Rebuilt, 0));
-        }
-
-        // 4. Publish the shrunk roster in ONE epoch store: readers switch
-        // from "two siblings" to "one merged shard, last slot renumbered"
-        // atomically. The merged slot gets a fresh cell at the merged
-        // sequence number and an empty delta ring (pollers resync, exactly
-        // as after a split); the renumbered slot keeps its cell and ring
-        // objects, just at a new index.
-        let last = roster.cells.len() - 1;
-        let mut cells = roster.cells.clone();
-        let mut rings = roster.rings.clone();
-        let fresh = Arc::new(EpochCell::new(ShardSnapshot::empty(spec.slot)));
-        fresh.store_with_seq(
-            Arc::new(worker::build_snapshot(
-                spec.slot,
-                &mut merged,
-                merged_seq,
-                merged_seq,
-                &[],
-                self.config.top_k,
-            )),
-            merged_seq,
-        );
-        cells[spec.slot] = fresh;
-        rings[spec.slot] = Arc::new(DeltaRing::new(self.config.delta_retention));
-        if spec.moved_slot.is_some() {
-            cells.swap(spec.freed_slot, last);
-            rings.swap(spec.freed_slot, last);
-        }
-        cells.pop();
-        rings.pop();
-        let merged_engine = Arc::new(Mutex::new(merged));
-        let (tx_merged, handle_merged, slot_cell) = spawn_worker(
-            spec.slot,
-            &self.config,
-            merged_seq,
-            persist,
-            &merged_engine,
-            &cells[spec.slot],
-            &rings[spec.slot],
-        );
-        self.engines[spec.slot] = merged_engine;
-        self.workers[spec.slot] = Some(handle_merged);
-        self.slots[spec.slot] = slot_cell;
-        if spec.moved_slot.is_some() {
-            self.engines.swap(spec.freed_slot, last);
-            self.workers.swap(spec.freed_slot, last);
-            self.slots.swap(spec.freed_slot, last);
-        }
-        self.engines.pop();
-        self.workers.pop();
-        self.slots.pop();
-        if spec.moved_slot.is_some() {
-            // Renumber the moved worker in place (no respawn): it stamps
-            // every snapshot it publishes from now on with the freed slot
-            // number.
-            self.slots[spec.freed_slot].store(spec.freed_slot as u32, Ordering::Relaxed);
-        }
-        self.roster.store(Arc::new(ShardRoster { cells, rings }));
-
-        // 5. Commit routing: install the coarsened map and drain the shared
-        // parked backlog to the merged worker, in arrival order. Holding the
-        // write lock guarantees no sender is mid-send, so the drain is
-        // complete.
-        let parked_updates = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let mut drained = 0u64;
-            while let Ok(msg) = park_rx.try_recv() {
-                match msg {
-                    WorkerMsg::Update(u) => {
-                        drained += 1;
-                        let _ = tx_merged.send(WorkerMsg::Update(u));
-                    }
-                    WorkerMsg::Batch(batch) => {
-                        drained += batch.len() as u64;
-                        let _ = tx_merged.send(WorkerMsg::Batch(batch));
-                    }
-                    // Flushes, compaction passes and shutdowns parked
-                    // against either sibling all target the one merged
-                    // worker now.
-                    other => {
-                        let _ = tx_merged.send(other);
-                    }
-                }
-            }
-            routing.senders[spec.slot] = ShardTx::Live(tx_merged);
-            if spec.moved_slot.is_some() {
-                routing.senders.swap(spec.freed_slot, last);
-                routing.routed.swap(spec.freed_slot, last);
-            }
-            routing.senders.pop();
-            routing.routed.pop();
-            routing.routed[spec.slot] = Arc::new(AtomicU64::new(merged_seq + drained));
-            // Re-point the registry's routed series at the surviving cells:
-            // the merged slot got a fresh cell, the renumbered slot carries
-            // the previous last slot's cell, and slot `last` no longer
-            // exists (when nothing moved, `last == freed_slot`).
-            if let Some(registry) = self.config.obs.registry() {
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &spec.slot.to_string())],
-                    Arc::clone(&routing.routed[spec.slot]),
-                );
-                if spec.moved_slot.is_some() {
-                    registry.adopt_counter(
-                        names::SHARD_ROUTED_TOTAL,
-                        &[("shard", &spec.freed_slot.to_string())],
-                        Arc::clone(&routing.routed[spec.freed_slot]),
-                    );
-                }
-                registry.unregister(names::SHARD_ROUTED_TOTAL, &[("shard", &last.to_string())]);
-            }
-            routing.map = new_map.clone();
-            drained
-        };
-
-        // 6. Retire the children's directories (the manifest no longer
-        // references them; best-effort — an orphan is harmless).
-        if let Some(p) = &self.persistence {
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.zero_engine));
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.one_engine));
-        }
-        observer(MergePhase::Committed);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.end(span, merge_event(RebalanceStage::Committed, parked_updates));
-            registry.counter(names::MERGES_TOTAL, &[]).inc();
-            registry
-                .histogram(names::REBALANCE_PAUSE_US, &[])
-                .record_micros(pause_started.elapsed());
-        }
-
+        let done = self.reshape(
+            Reshape {
+                parents: &[
+                    (spec.zero_slot, spec.zero_engine),
+                    (spec.one_slot, spec.one_engine),
+                ],
+                children: &[(spec.slot, spec.merged_engine)],
+                freed: Some(spec.freed_slot),
+                new_map,
+                event: &event,
+                committed: names::MERGES_TOTAL,
+            },
+            &mut observer,
+        )?;
         Ok(MergeReport {
             slot: spec.slot,
             freed_slot: spec.freed_slot,
             moved_slot: spec.moved_slot,
             child_engines: (spec.zero_engine, spec.one_engine),
             merged_engine: spec.merged_engine,
-            child_seqs: (seq_zero, seq_one),
-            merged_seq,
-            parked_updates,
-            generation: new_map.generation(),
+            child_seqs: (done.parent_seqs[0], done.parent_seqs[1]),
+            merged_seq: done.parent_seqs.iter().sum(),
+            parked_updates: done.parked,
+            generation: done.generation,
         })
     }
 
-    /// Rebuilds the merged engine (disk path for persistent deployments,
-    /// absorbing clones of the live engines otherwise), adopts the pair's
-    /// live work ledger, persists the merged shard and commits the manifest.
-    fn build_merged(
-        &self,
-        spec: &MergeSpec,
-        (seq_zero, seq_one): (u64, u64),
-        live_stats: EngineStats,
-        new_map: &ShardMap,
-    ) -> Result<(B::Engine, Option<WorkerPersistence>), RebalanceError> {
-        let mut merged = match &self.persistence {
-            Some(p) => {
-                // Each child recovers from its own durable state, which a
-                // clean quiesce left complete: its newest checkpoint plus
-                // its WAL tail must reach the quiesce point exactly.
-                let recover =
-                    |engine_id: u64, slot: usize, want: u64| -> Result<B::Engine, RebalanceError> {
-                        let dir = recovery::shard_dir(&p.dir, engine_id);
-                        let rec = recovery::recover_shard(&self.blueprint, slot, &dir, p)?;
-                        if rec.seq != want {
-                            return Err(RebalanceError::HistoryGap {
-                                expected: want,
-                                found: rec.seq,
-                            });
-                        }
-                        Ok(rec.engine)
-                    };
-                let mut zero = recover(spec.zero_engine, spec.zero_slot, seq_zero)?;
-                let one = recover(spec.one_engine, spec.one_slot, seq_one)?;
-                zero.absorb(one);
-                zero
-            }
-            None => {
-                let mut zero = self.engines[spec.zero_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .clone();
-                let one = self.engines[spec.one_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .clone();
-                zero.absorb(one);
-                zero
-            }
-        };
-        // The disk path recovers checkpoint-time counters; the pair's live
-        // ledger is authoritative either way (for the in-memory path this
-        // re-adopts the value absorb already merged).
-        merged.adopt_stats(live_stats);
-        let persist = match &self.persistence {
-            Some(p) => {
-                let wp = persist_child(p, spec.merged_engine, seq_zero + seq_one, &merged)?;
-                // The commit point: from here, recovery reopens the
-                // coarsened topology.
-                recovery::rewrite_manifest(
-                    &p.dir,
-                    self.blueprint.kind(),
-                    self.blueprint.measure_name(),
-                    &self.blueprint.params(),
-                    new_map,
-                )?;
-                Some(wp)
-            }
-            None => None,
-        };
-        Ok((merged, persist))
-    }
-
-    /// Brings both parked siblings back to life after a failed merge
-    /// rebuild. Their engines (in-memory deployments) or their on-disk
-    /// state (complete to the quiesce point) are intact, so both respawn
-    /// and the shared parked backlog is re-routed through the unchanged
-    /// map. If either resurrection fails, the pair stays parked — the same
-    /// double-fault posture as a failed split (see [`RebalanceError`]).
-    fn resurrect_merge_children(
+    /// The one topology-change transaction; see the
+    /// [module docs](crate::rebalance) for its steps.
+    fn reshape(
         &mut self,
-        spec: &MergeSpec,
-        park_rx: std::sync::mpsc::Receiver<WorkerMsg>,
-    ) {
-        let roster = self.roster.load();
-        let pair = [spec.slot, spec.freed_slot];
-        let mut spawned: Vec<(usize, SyncSender<WorkerMsg>)> = Vec::with_capacity(2);
-        if let Some(p) = self.persistence.clone() {
-            // Recover both engines before spawning anything, so a failure
-            // leaves no half-resurrected pair.
-            let mut recovered = Vec::with_capacity(2);
-            for slot in pair {
-                let engine_id = {
-                    let routing = self.routing.read().expect("routing poisoned");
-                    routing.map.engine_of(slot).unwrap_or(slot as u64)
-                };
-                let dir = recovery::shard_dir(&p.dir, engine_id);
-                match recovery::recover_shard(&self.blueprint, slot, &dir, &p) {
-                    Ok(rec) => recovered.push((slot, dir, rec)),
-                    Err(e) => {
-                        // Double fault: both siblings stay parked until a
-                        // process restart recovers them. The shared backlog
-                        // keeps accumulating in memory (never applied or
-                        // logged) and is lost on restart.
-                        eprintln!(
-                            "shard {slot}: sibling resurrection failed after aborted merge: {e}"
-                        );
-                        self.dead_parked.push(Mutex::new(park_rx));
-                        return;
-                    }
-                }
-            }
-            for (slot, dir, rec) in recovered {
-                debug_assert_eq!(rec.seq, roster.cells[slot].seq());
-                let persist = WorkerPersistence {
-                    wal: rec.wal,
-                    dir,
-                    snapshot_every: p.snapshot_every_batches,
-                    retained: p.retained_snapshots,
-                    batches_since_snapshot: 0,
-                };
-                self.engines[slot] = Arc::new(Mutex::new(rec.engine));
-                let (tx, handle, slot_cell) = spawn_worker(
-                    slot,
-                    &self.config,
-                    rec.seq,
-                    Some(persist),
-                    &self.engines[slot],
-                    &roster.cells[slot],
-                    &roster.rings[slot],
-                );
-                self.workers[slot] = Some(handle);
-                self.slots[slot] = slot_cell;
-                spawned.push((slot, tx));
-            }
-        } else {
-            for slot in pair {
-                let (tx, handle, slot_cell) = spawn_worker(
-                    slot,
-                    &self.config,
-                    roster.cells[slot].seq(),
-                    None,
-                    &self.engines[slot],
-                    &roster.cells[slot],
-                    &roster.rings[slot],
-                );
-                self.workers[slot] = Some(handle);
-                self.slots[slot] = slot_cell;
-                spawned.push((slot, tx));
-            }
-        }
-        // Drain the shared backlog through the unchanged routing map, then
-        // swap the live senders in — all under the write lock, so no
-        // producer can interleave ahead of the backlog.
-        let mut routing = self.routing.write().expect("routing poisoned");
-        let tx_of = |slot: usize| {
-            &spawned
+        plan: Reshape<'_>,
+        observer: &mut dyn FnMut(ReshapePhase),
+    ) -> Result<Reshaped, RebalanceError> {
+        // 1. Park the parents on one shared queue: their ingest accumulates
+        // unconsumed, in per-sender order — all the children need, since the
+        // parents' slices touch disjoint edges. The pause clock runs from
+        // here to commit.
+        let pause_started = Instant::now();
+        let (park_tx, park_rx) = channel();
+        let old_txs: Vec<SyncSender<WorkerMsg>> = {
+            let mut routing = self.routing.write().expect("routing poisoned");
+            plan.parents
                 .iter()
-                .find(|(s, _)| *s == slot)
-                .expect("resurrected pair")
-                .1
+                .map(|&(slot, _)| {
+                    let parked = ShardTx::Parked(park_tx.clone());
+                    match std::mem::replace(&mut routing.senders[slot], parked) {
+                        ShardTx::Live(tx) => tx,
+                        // Reshapes are serialised by `&mut self`, and every
+                        // one ends with its parents' slots live again.
+                        ShardTx::Parked(_) => unreachable!("slot {slot} is already parked"),
+                    }
+                })
+                .collect()
         };
-        while let Ok(msg) = park_rx.try_recv() {
-            match msg {
-                WorkerMsg::Update(u) => {
-                    let slot = routing.map.route(u.a.min(u.b));
-                    let _ = tx_of(slot).send(WorkerMsg::Update(u));
-                }
-                WorkerMsg::Batch(batch) => {
-                    // A parked batch was pre-routed to one sibling: all its
-                    // updates share an owner under the unchanged map.
-                    let slot = batch
-                        .first()
-                        .map(|u| routing.map.route(u.a.min(u.b)))
-                        .unwrap_or(spec.slot);
-                    let _ = tx_of(slot).send(WorkerMsg::Batch(batch));
-                }
-                // Which sibling a parked flush / compaction targeted is
-                // unknowable: cover both. Waiters ignore surplus flush acks,
-                // and a duplicate compaction pass evicts nothing new.
-                WorkerMsg::Flush(ack) => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Flush(ack.clone()));
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Flush(ack));
-                }
-                WorkerMsg::Compact { min_weight, ack } => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Compact {
-                        min_weight,
-                        ack: ack.clone(),
-                    });
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Compact { min_weight, ack });
-                }
-                WorkerMsg::Shutdown => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Shutdown);
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Shutdown);
-                }
+
+        // 2. Quiesce: a worker processes everything routed before its
+        // shutdown, so once it has exited its engine and WAL are complete to
+        // its published sequence number. It hands back its WAL writer.
+        for tx in old_txs {
+            let _ = tx.send(WorkerMsg::Shutdown);
+        }
+        let persists: Vec<Option<WorkerPersistence>> = plan
+            .parents
+            .iter()
+            .map(|&(slot, _)| {
+                let worker = self.workers[slot].take().expect("a live slot has a worker");
+                worker.join().expect("shard worker panicked")
+            })
+            .collect();
+        let roster = self.roster.load();
+        let parent_seqs: Vec<u64> = plan
+            .parents
+            .iter()
+            .map(|&(slot, _)| roster.cells[slot].seq())
+            .collect();
+        let start_seq = parent_seqs.iter().sum();
+        observer(ReshapePhase::Parked);
+        // One journal span covers the whole change; the Committed record is
+        // enriched with the report counts. An aborted attempt leaves the
+        // span open — a Begin without an End.
+        let registry = self.config.obs.registry().cloned();
+        let span = registry
+            .as_ref()
+            .map(|r| r.begin((plan.event)(RebalanceStage::Parked, 0, 0)));
+
+        // 3. Rebuild the children; on failure, relaunch the parents as they
+        // were.
+        let Rebuilt {
+            children,
+            snapshot_seq,
+            replayed,
+        } = match self.rebuild(&plan, &parent_seqs, start_seq) {
+            Ok(rebuilt) => rebuilt,
+            Err(e) => {
+                self.relaunch(plan.parents, &parent_seqs, persists, &park_rx);
+                return Err(e);
+            }
+        };
+        drop(persists);
+        observer(ReshapePhase::Rebuilt);
+        if let (Some(registry), Some(span)) = (&registry, span) {
+            registry.note(span, (plan.event)(RebalanceStage::Rebuilt, 0, replayed));
+        }
+
+        // 4. Publish the new roster in ONE epoch store, so readers switch
+        // from the parents to all the children atomically — no interleaving
+        // observes one child without its sibling (which would transiently
+        // lose a slice's stories). Children get fresh cells at their start
+        // sequence number (a reused slot stays monotone: its old cell sat at
+        // one parent's share of that sum) and empty delta rings. Each fresh
+        // cell inherits the roster's watchers before its worker can publish.
+        let mut cells = roster.cells.clone();
+        let mut rings = roster.rings.clone();
+        let mut targets = Vec::with_capacity(children.len());
+        let mut routed = Vec::with_capacity(children.len());
+        for ((engine, persist), &(slot, _)) in children.into_iter().zip(plan.children) {
+            let shard = launch(&self.config, slot, engine, start_seq, persist);
+            shard.cell.watch_like(&self.roster);
+            place(&mut cells, slot, shard.cell);
+            place(&mut rings, slot, shard.ring);
+            place(&mut self.engines, slot, shard.engine);
+            place(&mut self.workers, slot, Some(shard.handle));
+            place(&mut self.slots, slot, shard.slot_cell);
+            targets.push((slot, shard.tx));
+            routed.push(shard.routed);
+        }
+        if let Some(freed) = plan.freed {
+            cells.swap_remove(freed);
+            rings.swap_remove(freed);
+            self.engines.swap_remove(freed);
+            self.workers.swap_remove(freed);
+            self.slots.swap_remove(freed);
+            if let Some(moved) = self.slots.get(freed) {
+                // Renumber the moved worker in place (no respawn): it stamps
+                // every snapshot it publishes from now on with `freed`.
+                moved.store(freed as u32, Ordering::Relaxed);
             }
         }
-        for (slot, tx) in spawned {
-            routing.senders[slot] = ShardTx::Live(tx);
+        self.roster.store(Arc::new(ShardRoster { cells, rings }));
+
+        // 5. Commit routing: install the new map and drain the parked
+        // backlog through it. Holding the write lock guarantees no sender is
+        // mid-send, so the drain is complete.
+        let generation = plan.new_map.generation();
+        let parked = {
+            let mut routing = self.routing.write().expect("routing poisoned");
+            let counts = drain(&park_rx, &plan.new_map, &targets);
+            for (((slot, tx), routed), count) in targets.into_iter().zip(routed).zip(&counts) {
+                routed.fetch_add(*count, Ordering::Relaxed);
+                place(&mut routing.senders, slot, ShardTx::Live(tx));
+                place(&mut routing.routed, slot, routed);
+            }
+            if let Some(freed) = plan.freed {
+                routing.senders.swap_remove(freed);
+                routing.routed.swap_remove(freed);
+                // The renumbered slot carries the previous last slot's
+                // routed cell, and the last slot no longer exists.
+                if let Some(registry) = &registry {
+                    if let Some(moved) = routing.routed.get(freed) {
+                        registry.adopt_counter(
+                            names::SHARD_ROUTED_TOTAL,
+                            &[("shard", &freed.to_string())],
+                            Arc::clone(moved),
+                        );
+                    }
+                    let last = routing.routed.len().to_string();
+                    registry.unregister(names::SHARD_ROUTED_TOTAL, &[("shard", &last)]);
+                }
+            }
+            routing.map = plan.new_map;
+            counts.iter().sum()
+        };
+
+        // 6. Retire the parents' directories (the manifest no longer
+        // references them; best-effort — an orphan is harmless).
+        if let Some(p) = &self.persistence {
+            for &(_, engine_id) in plan.parents {
+                let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, engine_id));
+            }
         }
+        observer(ReshapePhase::Committed);
+        if let (Some(registry), Some(span)) = (&registry, span) {
+            registry.end(
+                span,
+                (plan.event)(RebalanceStage::Committed, parked, replayed),
+            );
+            registry.counter(plan.committed, &[]).inc();
+            registry
+                .histogram(names::REBALANCE_PAUSE_US, &[])
+                .record_micros(pause_started.elapsed());
+        }
+        Ok(Reshaped {
+            parent_seqs,
+            snapshot_seq,
+            replayed,
+            parked,
+            generation,
+        })
     }
 
-    /// Rebuilds the two child engines (disk path for persistent deployments,
-    /// live partition otherwise), persists them and commits the manifest.
-    #[allow(clippy::type_complexity)]
-    fn build_children(
+    /// Rebuilds the children from the quiesced parents — replaying each
+    /// parent's directory (persistent) or taking its live engine (in
+    /// memory) — then persists them and rewrites the manifest, the commit
+    /// point. Also returns the replay's checkpoint base and length.
+    fn rebuild(
         &self,
-        keep: &impl Fn(VertexId) -> bool,
-        slot: usize,
-        parent_seq: u64,
-        spec: &dyndens_graph::SplitSpec,
-        new_map: &ShardMap,
-    ) -> Result<
-        (
-            B::Engine,
-            B::Engine,
-            (Option<WorkerPersistence>, Option<WorkerPersistence>),
-            RebuildDetail,
-        ),
-        RebalanceError,
-    > {
-        let live_stats = self.engines[slot]
-            .lock()
-            .expect("shard engine poisoned")
-            .stats()
-            .clone();
-        let (mut child_zero, mut child_one, detail) = match &self.persistence {
-            Some(p) => {
-                let dir = recovery::shard_dir(&p.dir, spec.parent_engine);
-                rebuild_from_disk(&self.blueprint, &dir, parent_seq, keep)?
+        plan: &Reshape<'_>,
+        parent_seqs: &[u64],
+        start_seq: u64,
+    ) -> Result<Rebuilt<B::Engine>, RebalanceError> {
+        // The parents' live ledger is authoritative: replay counts nothing,
+        // and the first child adopts the parents' counters wholesale.
+        let mut stats = EngineStats::default();
+        for &(slot, _) in plan.parents {
+            stats.merge(
+                self.engines[slot]
+                    .lock()
+                    .expect("shard engine poisoned")
+                    .stats(),
+            );
+        }
+        let (mut snapshot_seq, mut replayed) = (0, 0);
+        let mut whole: Option<B::Engine> = None;
+        for (&(slot, engine_id), &seq) in plan.parents.iter().zip(parent_seqs) {
+            let engine = match &self.persistence {
+                // A clean quiesce left the directory complete: replay must
+                // reach the quiesce point exactly, and a torn tail is
+                // corruption, not a crash artefact.
+                Some(p) => {
+                    let dir = recovery::shard_dir(&p.dir, engine_id);
+                    let r = recovery::replay(&self.blueprint, &dir)?;
+                    if let Some((segment, ..)) = r.torn_tail {
+                        return Err(RecoveryError::CorruptWal { segment }.into());
+                    }
+                    if r.seq != seq {
+                        return Err(RebalanceError::HistoryGap {
+                            expected: seq,
+                            found: r.seq,
+                        });
+                    }
+                    snapshot_seq += r.snapshot_seq;
+                    replayed += r.replayed;
+                    r.engine
+                }
+                // In memory nothing below can fail, so the quiesced parent's
+                // engine is moved out rather than copied.
+                None => std::mem::replace(
+                    &mut *self.engines[slot].lock().expect("shard engine poisoned"),
+                    self.blueprint.fresh(),
+                ),
+            };
+            match whole.as_mut() {
+                Some(whole) => whole.absorb(engine),
+                None => whole = Some(engine),
             }
-            None => {
-                let parent = self.engines[slot].lock().expect("shard engine poisoned");
-                let (zero, one) = parent.partition_by(&mut |v| keep(v));
-                (
-                    zero,
-                    one,
-                    RebuildDetail {
-                        snapshot_seq: 0,
-                        replayed: 0,
-                    },
-                )
+        }
+        let whole = whole.expect("a reshape has a parent");
+        let mut children = match plan.children {
+            [_] => vec![whole],
+            [(zero_slot, _), _] => {
+                let (zero, one) = whole.partition_by(&mut |v| plan.new_map.route(v) == *zero_slot);
+                vec![zero, one]
             }
+            _ => unreachable!("a reshape builds one or two children"),
         };
-        // The ledger survives the split exactly: replay counted nothing, the
-        // slot-keeping child adopts the parent's counters wholesale.
-        child_zero.adopt_stats(live_stats);
-        child_one.adopt_stats(EngineStats::default());
+        children[0].adopt_stats(stats);
+        for child in &mut children[1..] {
+            child.adopt_stats(EngineStats::default());
+        }
 
-        let persist = match &self.persistence {
+        let persists = match &self.persistence {
             Some(p) => {
-                let zero = persist_child(p, spec.child_zero_engine, parent_seq, &child_zero)?;
-                let one = persist_child(p, spec.child_one_engine, parent_seq, &child_one)?;
-                // The commit point: from here, recovery reopens the refined
+                let mut persists = Vec::with_capacity(children.len());
+                for (child, &(_, engine_id)) in children.iter().zip(plan.children) {
+                    persists.push(Some(persist_child(p, engine_id, start_seq, child)?));
+                }
+                // The commit point: from here, recovery reopens the new
                 // topology.
                 recovery::rewrite_manifest(
                     &p.dir,
                     self.blueprint.kind(),
                     self.blueprint.measure_name(),
                     &self.blueprint.params(),
-                    new_map,
+                    &plan.new_map,
                 )?;
-                (Some(zero), Some(one))
+                persists
             }
-            None => (None, None),
+            None => children.iter().map(|_| None).collect(),
         };
-        Ok((child_zero, child_one, persist, detail))
+        Ok(Rebuilt {
+            children: children.into_iter().zip(persists).collect(),
+            snapshot_seq,
+            replayed,
+        })
     }
 
-    /// Brings the parked slot back to life on the parent engine after a
-    /// failed rebuild: respawn a worker (recovering the engine and WAL
-    /// writer from disk for persistent deployments — the parent's state is
-    /// complete up to the quiesce point) and hand it the parked backlog
-    /// unchanged.
-    fn resurrect_parent(
+    /// Relaunches the parents after an aborted rebuild, on their intact live
+    /// engines and their own WAL writers (no disk read), and drains the
+    /// parked backlog to them through the unchanged map.
+    fn relaunch(
         &mut self,
-        slot: usize,
-        parent_seq: u64,
-        park_rx: std::sync::mpsc::Receiver<WorkerMsg>,
+        parents: &[(usize, u64)],
+        seqs: &[u64],
+        persists: Vec<Option<WorkerPersistence>>,
+        park_rx: &Receiver<WorkerMsg>,
     ) {
         let roster = self.roster.load();
-        let persist = match &self.persistence {
-            Some(p) => {
-                let engine_id = {
-                    let routing = self.routing.read().expect("routing poisoned");
-                    routing.map.engine_of(slot).unwrap_or(slot as u64)
-                };
-                let dir = recovery::shard_dir(&p.dir, engine_id);
-                match recovery::recover_shard(&self.blueprint, slot, &dir, p) {
-                    Ok(rec) => {
-                        debug_assert_eq!(rec.seq, parent_seq);
-                        self.engines[slot] = Arc::new(Mutex::new(rec.engine));
-                        Some(WorkerPersistence {
-                            wal: rec.wal,
-                            dir,
-                            snapshot_every: p.snapshot_every_batches,
-                            retained: p.retained_snapshots,
-                            batches_since_snapshot: 0,
-                        })
-                    }
-                    Err(e) => {
-                        // Double fault: the slot stays parked until a
-                        // process restart recovers it. Keep the receiver
-                        // alive so the slot's parked sender stays open —
-                        // ingest routed here keeps parking in memory rather
-                        // than panicking the sending thread. The parked
-                        // backlog is unrecoverable in-process (never applied
-                        // or logged) and is lost on restart.
-                        eprintln!(
-                            "shard {slot}: parent resurrection failed after aborted split: {e}"
-                        );
-                        self.dead_parked.push(Mutex::new(park_rx));
-                        return;
-                    }
-                }
-            }
-            None => None,
-        };
-        let (tx, handle, slot_cell) = spawn_worker(
-            slot,
-            &self.config,
-            parent_seq,
-            persist,
-            &self.engines[slot],
-            &roster.cells[slot],
-            &roster.rings[slot],
-        );
-        self.workers[slot] = Some(handle);
-        self.slots[slot] = slot_cell;
-        let mut routing = self.routing.write().expect("routing poisoned");
-        while let Ok(msg) = park_rx.try_recv() {
-            let _ = tx.send(msg);
+        let mut targets = Vec::with_capacity(parents.len());
+        for ((&(slot, _), &seq), persist) in parents.iter().zip(seqs).zip(persists) {
+            let (tx, handle, slot_cell) = spawn_worker(
+                slot,
+                &self.config,
+                seq,
+                persist,
+                &self.engines[slot],
+                &roster.cells[slot],
+                &roster.rings[slot],
+            );
+            self.workers[slot] = Some(handle);
+            self.slots[slot] = slot_cell;
+            targets.push((slot, tx));
         }
-        routing.senders[slot] = ShardTx::Live(tx);
+        let mut routing = self.routing.write().expect("routing poisoned");
+        drain(park_rx, &routing.map, &targets);
+        for (slot, tx) in targets {
+            routing.senders[slot] = ShardTx::Live(tx);
+        }
     }
 }
 
-/// Restores the parent's newest checkpoint, partitions it by `keep`, then
-/// replays the WAL slice past it with every update filtered to its owning
-/// child. Mirrors `recovery::recover_shard`, with the same torn-tail /
-/// mid-log-corruption discipline — except that after a clean quiesce a torn
-/// tail is genuine corruption, so any dirty segment is a hard error.
-fn rebuild_from_disk<B: EngineBlueprint>(
-    blueprint: &B,
-    dir: &std::path::Path,
-    target_seq: u64,
-    keep: &impl Fn(VertexId) -> bool,
-) -> Result<(B::Engine, B::Engine, RebuildDetail), RebalanceError> {
-    // Newest parseable snapshot, falling back to older retained ones.
-    let mut base: Option<B::Engine> = None;
-    let mut snapshot_seq = 0u64;
-    let mut last_snapshot_error: Option<RecoveryError> = None;
-    for (_, path) in recovery::list_snapshots(dir)?.into_iter().rev() {
-        match recovery::read_snapshot(&path).and_then(|(s, bytes)| {
-            match blueprint.restore(&bytes) {
-                Ok(e) => Ok((s, e)),
-                Err(e) => Err(RecoveryError::Snapshot(e)),
-            }
-        }) {
-            Ok((s, e)) => {
-                base = Some(e);
-                snapshot_seq = s;
-                break;
-            }
-            Err(e) => last_snapshot_error = Some(e),
-        }
+/// Sets `table[slot]`, growing the table when `slot` is one past its end.
+fn place<T>(table: &mut Vec<T>, slot: usize, item: T) {
+    if slot == table.len() {
+        table.push(item);
+    } else {
+        table[slot] = item;
     }
-    let base = match base {
-        Some(e) => e,
-        None => blueprint.fresh(),
+}
+
+/// Drains a parked backlog, in arrival order, to the shards now serving the
+/// parked slots: each update to the target `map` routes it to; each flush,
+/// compaction pass and shutdown to every target (a flush waiter waits for
+/// every copy, a compaction waiter sums every target's evictions). Returns
+/// the updates sent to each target.
+fn drain(
+    park_rx: &Receiver<WorkerMsg>,
+    map: &ShardMap,
+    targets: &[(usize, SyncSender<WorkerMsg>)],
+) -> Vec<u64> {
+    let target = |u: &EdgeUpdate| {
+        let slot = map.route(u.a.min(u.b));
+        targets
+            .iter()
+            .position(|&(s, _)| s == slot)
+            .expect("a parked update routes to a reshaped slot")
     };
-    let (mut zero, mut one) = base.partition_by(&mut |v| keep(v));
-    let mut seq = snapshot_seq;
-    let mut replayed = 0u64;
-    zero.set_recovering(true);
-    one.set_recovering(true);
-    let mut events = Vec::new();
-    for (no, path) in wal::list_segments(dir)? {
-        let scan = wal::scan_segment(&path)?;
-        if !scan.clean {
-            return Err(RecoveryError::CorruptWal { segment: no }.into());
-        }
-        for record in scan.records {
-            if record.first_seq > seq {
-                if let Some(e) = last_snapshot_error.take() {
-                    return Err(e.into());
+    let mut counts = vec![0u64; targets.len()];
+    while let Ok(msg) = park_rx.try_recv() {
+        let updates = match msg {
+            WorkerMsg::Update(u) => vec![u],
+            WorkerMsg::Batch(batch) => batch,
+            control => {
+                for (_, tx) in targets {
+                    let _ = tx.send(control.clone());
                 }
-                return Err(RecoveryError::SequenceGap {
-                    expected: seq,
-                    found: record.first_seq,
-                }
-                .into());
-            }
-            let skip = (seq - record.first_seq) as usize;
-            if skip >= record.updates.len() {
                 continue;
             }
-            for u in &record.updates[skip..] {
-                let side = if keep(u.a.min(u.b)) {
-                    &mut zero
-                } else {
-                    &mut one
-                };
-                side.apply_update_into(*u, &mut events);
-                events.clear();
-                seq += 1;
-                replayed += 1;
+        };
+        let mut groups = vec![Vec::new(); targets.len()];
+        for u in updates {
+            groups[target(&u)].push(u);
+        }
+        for ((group, (_, tx)), count) in groups.into_iter().zip(targets).zip(&mut counts) {
+            if !group.is_empty() {
+                *count += group.len() as u64;
+                let _ = tx.send(WorkerMsg::Batch(group));
             }
         }
     }
-    zero.set_recovering(false);
-    one.set_recovering(false);
-    if seq != target_seq {
-        return Err(RebalanceError::HistoryGap {
-            expected: target_seq,
-            found: seq,
-        });
-    }
-    Ok((
-        zero,
-        one,
-        RebuildDetail {
-            snapshot_seq,
-            replayed,
-        },
-    ))
+    counts
 }
 
 /// Writes one child's initial state: its directory (clobbering an orphan
-/// from a previously crashed, uncommitted split — engine ids are only
-/// consumed by the manifest rewrite), a snapshot at the split point, and a
-/// fresh WAL positioned to append from it.
+/// from a previously crashed or aborted attempt — engine ids are only
+/// consumed by the manifest rewrite), a snapshot at its start sequence
+/// number, and a fresh WAL positioned to append from it.
 fn persist_child<E: MaintenanceEngine>(
     p: &PersistenceConfig,
     engine_id: u64,
@@ -1487,13 +998,7 @@ fn persist_child<E: MaintenanceEngine>(
     std::fs::create_dir_all(&dir)?;
     recovery::write_snapshot(&dir, seq, &child.snapshot(), p.retained_snapshots)?;
     let wal = WalWriter::open(&dir, seq, Vec::new(), p.fsync, p.segment_max_bytes)?;
-    Ok(WorkerPersistence {
-        wal,
-        dir,
-        snapshot_every: p.snapshot_every_batches,
-        retained: p.retained_snapshots,
-        batches_since_snapshot: 0,
-    })
+    Ok(WorkerPersistence::new(p, dir, wal))
 }
 
 #[cfg(test)]
@@ -1503,7 +1008,7 @@ mod tests {
     use crate::sharded::ShardedDynDens;
     use dyndens_core::DynDensConfig;
     use dyndens_density::AvgWeight;
-    use dyndens_graph::{EdgeUpdate, VertexSet};
+    use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
 
     fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
         EdgeUpdate::new(VertexId(a), VertexId(b), delta)
@@ -1558,9 +1063,9 @@ mod tests {
         assert_eq!(
             phases,
             vec![
-                SplitPhase::Parked,
-                SplitPhase::Rebuilt,
-                SplitPhase::Committed
+                ReshapePhase::Parked,
+                ReshapePhase::Rebuilt,
+                ReshapePhase::Committed
             ]
         );
         assert_eq!(report.slot, 0);
@@ -1587,7 +1092,7 @@ mod tests {
         let view = fleet.view();
         let report = fleet
             .split_shard_with(0, |phase| {
-                if phase == SplitPhase::Parked {
+                if phase == ReshapePhase::Parked {
                     // Routed to the parked slot: must wait for the commit.
                     handle.apply_update(update(0, 8, 0.9));
                     handle.apply_update(update(2, 10, 0.8));
@@ -1703,9 +1208,9 @@ mod tests {
         assert_eq!(
             phases,
             vec![
-                MergePhase::Parked,
-                MergePhase::Rebuilt,
-                MergePhase::Committed
+                ReshapePhase::Parked,
+                ReshapePhase::Rebuilt,
+                ReshapePhase::Committed
             ]
         );
         assert_eq!(report.slot, 0);
@@ -1822,6 +1327,35 @@ mod tests {
         assert_eq!(sorted_bits(reopened.dense_subgraphs()), want);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_watch_covers_later_topologies() {
+        struct Counter(std::sync::atomic::AtomicU64);
+        impl crate::view::PublishWaker for Counter {
+            fn wake(&self, _seq: u64) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
+        let counter = Arc::new(Counter(Default::default()));
+        let waker: Arc<dyn crate::view::PublishWaker> = counter.clone();
+        fleet.view().watch(&waker);
+        let fires = |fleet: &ShardedDynDens<AvgWeight>, u: EdgeUpdate| {
+            let before = counter.0.load(Ordering::SeqCst);
+            fleet.apply_update(u);
+            fleet.flush();
+            counter.0.load(Ordering::SeqCst) > before
+        };
+
+        // Watched once, before any topology change: the split's new slot
+        // and the merge's fresh cell both wake it.
+        let split = fleet.split_shard(0).unwrap();
+        assert_eq!(fleet.shard_of(&update(2, 6, 0.0)), split.new_slot);
+        assert!(fires(&fleet, update(2, 6, 0.4)), "split child publication");
+        fleet.merge_shards(0, split.new_slot).unwrap();
+        assert_eq!(fleet.shard_of(&update(0, 4, 0.0)), 0);
+        assert!(fires(&fleet, update(0, 4, 0.4)), "merged shard publication");
     }
 
     #[test]

@@ -403,20 +403,39 @@ pub(crate) struct RecoveredShard<E: MaintenanceEngine> {
     pub report: RecoveryReport,
 }
 
-/// Recovers one shard from `dir`: newest valid snapshot + WAL tail replay.
-/// The blueprint decides what engine the checkpoint bytes restore into —
-/// [`bind_manifest`] has already pinned the directory to its kind.
-pub(crate) fn recover_shard<B: EngineBlueprint>(
-    blueprint: &B,
-    shard: usize,
-    dir: &Path,
-    persistence: &PersistenceConfig,
-) -> Result<RecoveredShard<B::Engine>, RecoveryError> {
-    fs::create_dir_all(dir)?;
+/// A shard directory replayed into an engine: the newest usable snapshot
+/// plus every WAL record past it, applied with the engine's `recovering`
+/// flag set.
+pub(crate) struct Replayed<E: MaintenanceEngine> {
+    pub engine: E,
+    /// The sequence number replay reached.
+    pub seq: u64,
+    /// Sequence number of the snapshot replay started from (0 when fresh).
+    pub snapshot_seq: u64,
+    /// WAL updates applied past the snapshot.
+    pub replayed: u64,
+    /// The live WAL segments as `(segment_no, start_seq)`, ascending — what
+    /// [`WalWriter::open`] needs to continue the log.
+    pub segments: Vec<(u64, u64)>,
+    /// The final segment's torn tail as `(segment_no, path, valid_len)`, if
+    /// it has one. Replay stops at the tear; only crash recovery may repair
+    /// it (after a clean quiesce a tear is genuine corruption).
+    pub torn_tail: Option<(u64, PathBuf, u64)>,
+}
 
-    // 1. Restore from the newest snapshot that parses; a damaged newest
-    //    snapshot falls back to an older retained one (the WAL is only ever
-    //    pruned up to the oldest retained snapshot, so replay still works).
+/// Replays `dir`: restores the newest snapshot that parses — a damaged
+/// newest snapshot falls back to an older retained one (the WAL is only ever
+/// pruned up to the oldest retained snapshot) — then applies the WAL tail.
+/// Records wholly covered by the snapshot are skipped, partially covered
+/// ones are applied from their overlap point. A gap (for example because
+/// every snapshot was unusable but the early WAL was already pruned) and a
+/// dirty segment before the final one are hard errors. The blueprint decides
+/// what engine the checkpoint bytes restore into — [`bind_manifest`] has
+/// already pinned the directory to its kind.
+pub(crate) fn replay<B: EngineBlueprint>(
+    blueprint: &B,
+    dir: &Path,
+) -> Result<Replayed<B::Engine>, RecoveryError> {
     let mut engine: Option<B::Engine> = None;
     let mut snapshot_seq = 0u64;
     let mut last_snapshot_error: Option<RecoveryError> = None;
@@ -439,35 +458,23 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
     };
     let mut seq = snapshot_seq;
 
-    // 2. Replay the WAL tail. Records wholly covered by the snapshot are
-    //    skipped; partially covered records are applied from their overlap
-    //    point; a gap means records are missing (for example because every
-    //    snapshot was unusable but the early WAL was already pruned) and is
-    //    a hard error.
     let segments = wal::list_segments(dir)?;
     let mut segment_meta: Vec<(u64, u64)> = Vec::new();
     let mut replayed = 0u64;
-    let mut repaired_torn_tail = false;
+    let mut torn_tail = None;
     engine.set_recovering(true);
     let mut events = Vec::new();
     for (i, (no, path)) in segments.iter().enumerate() {
         let scan = wal::scan_segment(path)?;
         if !scan.clean {
             if i + 1 != segments.len() {
-                engine.set_recovering(false);
                 return Err(RecoveryError::CorruptWal { segment: *no });
             }
-            // Torn tail of the final segment: the batch was never
-            // acknowledged as applied, so truncating it away is safe.
-            let f = fs::OpenOptions::new().write(true).open(path)?;
-            f.set_len(scan.valid_len)?;
-            f.sync_data()?;
-            repaired_torn_tail = true;
+            torn_tail = Some((*no, path.clone(), scan.valid_len));
         }
         segment_meta.push((*no, scan.records.first().map_or(seq, |r| r.first_seq)));
         for record in scan.records {
             if record.first_seq > seq {
-                engine.set_recovering(false);
                 if let Some(e) = last_snapshot_error.take() {
                     // The gap exists because we fell back past a damaged
                     // snapshot; surface the root cause.
@@ -491,26 +498,50 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
         }
     }
     engine.set_recovering(false);
+    Ok(Replayed {
+        engine,
+        seq,
+        snapshot_seq,
+        replayed,
+        segments: segment_meta,
+        torn_tail,
+    })
+}
 
-    // 3. Continue the log in a fresh segment (old segments stay immutable).
+/// Recovers one shard from `dir` after a crash: [`replay`], then truncate a
+/// torn tail on the final WAL segment (the batch was never acknowledged as
+/// applied, so cutting it away is safe) and continue the log in a fresh
+/// segment (old segments stay immutable).
+pub(crate) fn recover_shard<B: EngineBlueprint>(
+    blueprint: &B,
+    shard: usize,
+    dir: &Path,
+    persistence: &PersistenceConfig,
+) -> Result<RecoveredShard<B::Engine>, RecoveryError> {
+    fs::create_dir_all(dir)?;
+    let replayed = replay(blueprint, dir)?;
+    if let Some((_, path, valid_len)) = &replayed.torn_tail {
+        let f = fs::OpenOptions::new().write(true).open(path)?;
+        f.set_len(*valid_len)?;
+        f.sync_data()?;
+    }
     let wal = WalWriter::open(
         dir,
-        seq,
-        segment_meta,
+        replayed.seq,
+        replayed.segments,
         persistence.fsync,
         persistence.segment_max_bytes,
     )?;
-
     Ok(RecoveredShard {
-        engine,
-        seq,
+        engine: replayed.engine,
+        seq: replayed.seq,
         wal,
         report: RecoveryReport {
             shard,
-            snapshot_seq,
-            replayed_updates: replayed,
-            recovered_seq: seq,
-            repaired_torn_tail,
+            snapshot_seq: replayed.snapshot_seq,
+            replayed_updates: replayed.replayed,
+            recovered_seq: replayed.seq,
+            repaired_torn_tail: replayed.torn_tail.is_some(),
         },
     })
 }

@@ -26,17 +26,18 @@ use crate::worker::{self, WorkerMsg, WorkerPersistence};
 ///
 /// A slot is normally [`Live`](ShardTx::Live): a bounded channel consumed by
 /// the slot's worker thread (backpressure by blocking the producer). While
-/// the slot is being **split**, it is temporarily [`Parked`](ShardTx::Parked):
-/// an unbounded channel nobody consumes — updates routed to the slot simply
-/// accumulate until the split commits and re-routes them, in order, through
-/// the refined shard map. Parking is unbounded deliberately: a bounded
-/// parking queue could block an ingest thread that holds the routing read
-/// lock while the split needs the write lock to drain it.
+/// the slot is being **split or merged**, it is temporarily
+/// [`Parked`](ShardTx::Parked): an unbounded channel nobody consumes —
+/// updates routed to the slot simply accumulate until the reshape commits
+/// (or aborts) and re-routes them, in order, through the new shard map.
+/// Parking is unbounded deliberately: a bounded parking queue could block an
+/// ingest thread that holds the routing read lock while the reshape needs
+/// the write lock to drain it.
 #[derive(Debug)]
 pub(crate) enum ShardTx {
     /// A worker thread is consuming this slot's inbox.
     Live(SyncSender<WorkerMsg>),
-    /// The slot is mid-split; messages park until the split commits.
+    /// The slot is mid-reshape; messages park until it commits or aborts.
     Parked(Sender<WorkerMsg>),
 }
 
@@ -55,7 +56,7 @@ impl ShardTx {
 /// The routing state every ingest path consults: the generational shard map
 /// plus the per-slot senders and routed-update counters. Guarded by an
 /// `RwLock` — ingest takes it for read (many concurrent routers), a split
-/// takes it for write twice (park the slot, commit the refined map).
+/// or merge takes it for write twice (park the slots, commit the new map).
 #[derive(Debug)]
 pub(crate) struct RouteState {
     /// The generational routing table (vertex → worker slot).
@@ -159,7 +160,7 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     pub(crate) routing: Arc<RwLock<RouteState>>,
     pub(crate) engines: Vec<Arc<Mutex<B::Engine>>>,
     pub(crate) roster: Arc<EpochCell<ShardRoster>>,
-    pub(crate) workers: Vec<Option<JoinHandle<()>>>,
+    pub(crate) workers: Vec<Option<WorkerHandle>>,
     /// Per-slot shared slot-number cells (see [`worker::WorkerSetup::slot`]):
     /// a merge renumbers the last live worker into a freed middle slot by
     /// storing into its cell, without respawning the thread.
@@ -172,13 +173,6 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     /// directories, WALs and a manifest rewrite). `None` for in-memory
     /// deployments.
     pub(crate) persistence: Option<PersistenceConfig>,
-    /// Receivers of slots whose split aborted *and* whose parent could not
-    /// be resurrected (a double fault). Keeping the receiver alive keeps the
-    /// slot's parked sender open, so ingest routed to the slot continues to
-    /// park in memory instead of panicking; the backlog is unrecoverable
-    /// in-process (it was never applied or logged) and is dropped on
-    /// restart. Mutex-wrapped only so the facade stays `Sync`.
-    pub(crate) dead_parked: Vec<Mutex<std::sync::mpsc::Receiver<WorkerMsg>>>,
 }
 
 /// The canonical deployment: a [`ShardedFleet`] running the exact
@@ -188,11 +182,68 @@ pub struct ShardedFleet<B: EngineBlueprint> {
 /// constructors, which live on the specialised impl).
 pub type ShardedDynDens<D> = ShardedFleet<DynDensBlueprint<D>>;
 
-/// A shard's initial state handed to its worker thread at spawn time.
-pub(crate) struct ShardSeed<E: MaintenanceEngine> {
-    pub(crate) engine: E,
-    pub(crate) seq: u64,
-    pub(crate) persist: Option<WorkerPersistence>,
+/// A worker thread; joining it yields the shard's durability half back.
+pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
+
+/// Everything one freshly launched shard contributes to the fleet's
+/// per-slot tables.
+pub(crate) struct LiveShard<E: MaintenanceEngine> {
+    pub(crate) engine: Arc<Mutex<E>>,
+    pub(crate) cell: Arc<EpochCell<ShardSnapshot>>,
+    pub(crate) ring: Arc<DeltaRing>,
+    pub(crate) tx: SyncSender<WorkerMsg>,
+    pub(crate) handle: WorkerHandle,
+    pub(crate) slot_cell: Arc<AtomicU32>,
+    pub(crate) routed: Arc<AtomicU64>,
+}
+
+/// Brings one shard live at `slot`: a fresh epoch cell already publishing
+/// the engine's state at `seq` (readers see recovered or rebuilt state
+/// immediately, not an empty snapshot), an empty delta ring (there is no
+/// earlier event stream to serve, so pollers resync from the snapshot), a
+/// routed-update counter at `seq` that the metrics registry adopts, and a
+/// worker thread.
+pub(crate) fn launch<E: MaintenanceEngine>(
+    config: &ShardConfig,
+    slot: usize,
+    mut engine: E,
+    seq: u64,
+    persist: Option<WorkerPersistence>,
+) -> LiveShard<E> {
+    let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
+    cell.store_with_seq(
+        Arc::new(worker::build_snapshot(
+            slot,
+            &mut engine,
+            seq,
+            seq,
+            &[],
+            config.top_k,
+        )),
+        seq,
+    );
+    let ring = Arc::new(DeltaRing::new(config.delta_retention));
+    let engine = Arc::new(Mutex::new(engine));
+    let (tx, handle, slot_cell) = spawn_worker(slot, config, seq, persist, &engine, &cell, &ring);
+    let routed = Arc::new(AtomicU64::new(seq));
+    if let Some(registry) = config.obs.registry() {
+        // Adopt the router's hot-path cell as a counter: zero added cost on
+        // the routing path.
+        registry.adopt_counter(
+            names::SHARD_ROUTED_TOTAL,
+            &[("shard", &slot.to_string())],
+            Arc::clone(&routed),
+        );
+    }
+    LiveShard {
+        engine,
+        cell,
+        ring,
+        tx,
+        handle,
+        slot_cell,
+        routed,
+    }
 }
 
 /// Spawns one worker thread for `slot`, publishing into `cell`/`ring`.
@@ -206,7 +257,7 @@ pub(crate) fn spawn_worker<E: MaintenanceEngine>(
     engine: &Arc<Mutex<E>>,
     cell: &Arc<EpochCell<ShardSnapshot>>,
     ring: &Arc<DeltaRing>,
-) -> (SyncSender<WorkerMsg>, JoinHandle<()>, Arc<AtomicU32>) {
+) -> (SyncSender<WorkerMsg>, WorkerHandle, Arc<AtomicU32>) {
     let (tx, rx) = sync_channel(config.channel_capacity);
     let slot_cell = Arc::new(AtomicU32::new(slot as u32));
     let mut persist = persist;
@@ -244,14 +295,10 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// crash-safe variant.
     pub fn with_backend(blueprint: B, config: ShardConfig) -> Self {
         let map = ShardMap::new(config.shard_fn, config.n_shards);
-        let seeds = (0..config.n_shards)
-            .map(|_| ShardSeed {
-                engine: blueprint.fresh(),
-                seq: 0,
-                persist: None,
-            })
+        let shards = (0..config.n_shards)
+            .map(|slot| launch(&config, slot, blueprint.fresh(), 0, None))
             .collect();
-        Self::spawn(blueprint, config, map, seeds, Vec::new(), None)
+        Self::assemble(blueprint, config, map, shards, Vec::new(), None)
     }
 
     /// The crash-safe constructor: recovers every shard from
@@ -318,10 +365,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                     .collect()
             });
 
-        let mut seeds = Vec::with_capacity(engine_ids.len());
+        // Launch nothing unless every shard recovered.
+        let recovered = recovered.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut shards = Vec::with_capacity(engine_ids.len());
         let mut reports = Vec::with_capacity(engine_ids.len());
-        for (slot, result) in recovered.into_iter().enumerate() {
-            let recovered = result?;
+        for (slot, recovered) in recovered.into_iter().enumerate() {
             if let Some(registry) = config.obs.registry() {
                 // The journal form of the RecoveryReport: a crash recovery
                 // that happened hours ago stays explainable from a scrape.
@@ -341,38 +389,38 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                 });
             }
             reports.push(recovered.report);
-            seeds.push(ShardSeed {
-                engine: recovered.engine,
-                seq: recovered.seq,
-                persist: Some(WorkerPersistence {
-                    wal: recovered.wal,
-                    dir: recovery::shard_dir(&persistence.dir, engine_ids[slot]),
-                    snapshot_every: persistence.snapshot_every_batches,
-                    retained: persistence.retained_snapshots,
-                    batches_since_snapshot: 0,
-                }),
-            });
+            let dir = recovery::shard_dir(&persistence.dir, engine_ids[slot]);
+            let persist = WorkerPersistence::new(&persistence, dir, recovered.wal);
+            shards.push(launch(
+                &config,
+                slot,
+                recovered.engine,
+                recovered.seq,
+                Some(persist),
+            ));
         }
-        Ok(Self::spawn(
+        Ok(Self::assemble(
             blueprint,
             config,
             map,
-            seeds,
+            shards,
             reports,
             Some(persistence),
         ))
     }
 
-    fn spawn(
+    /// Builds the facade around freshly launched shards, one per slot of
+    /// `map`.
+    fn assemble(
         blueprint: B,
         config: ShardConfig,
         map: ShardMap,
-        seeds: Vec<ShardSeed<B::Engine>>,
+        shards: Vec<LiveShard<B::Engine>>,
         recovery: Vec<RecoveryReport>,
         persistence: Option<PersistenceConfig>,
     ) -> Self {
         let n = map.n_workers();
-        debug_assert_eq!(seeds.len(), n);
+        debug_assert_eq!(shards.len(), n);
         let mut cells = Vec::with_capacity(n);
         let mut rings = Vec::with_capacity(n);
         let mut senders = Vec::with_capacity(n);
@@ -380,50 +428,14 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let mut engines = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
-        for (slot, seed) in seeds.into_iter().enumerate() {
-            let ShardSeed {
-                mut engine,
-                seq,
-                persist,
-            } = seed;
-            // Readers see the recovered state immediately, not an empty
-            // snapshot that only fills in after the first post-recovery
-            // micro-batch. The delta ring deliberately starts empty: a
-            // recovered deployment has no pre-crash event stream, so pollers
-            // resync from this snapshot.
-            let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
-            cell.store_with_seq(
-                Arc::new(worker::build_snapshot(
-                    slot,
-                    &mut engine,
-                    seq,
-                    seq,
-                    &[],
-                    config.top_k,
-                )),
-                seq,
-            );
-            let ring = Arc::new(DeltaRing::new(config.delta_retention));
-            let engine = Arc::new(Mutex::new(engine));
-            let (tx, handle, slot_cell) =
-                spawn_worker(slot, &config, seq, persist, &engine, &cell, &ring);
-            cells.push(cell);
-            rings.push(ring);
-            senders.push(ShardTx::Live(tx));
-            let routed_cell = Arc::new(AtomicU64::new(seq));
-            if let Some(registry) = config.obs.registry() {
-                // Adopt the router's hot-path cell as a counter: zero added
-                // cost on the routing path.
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &slot.to_string())],
-                    Arc::clone(&routed_cell),
-                );
-            }
-            routed.push(routed_cell);
-            engines.push(engine);
-            workers.push(Some(handle));
-            slots.push(slot_cell);
+        for shard in shards {
+            cells.push(shard.cell);
+            rings.push(shard.ring);
+            senders.push(ShardTx::Live(shard.tx));
+            routed.push(shard.routed);
+            engines.push(shard.engine);
+            workers.push(Some(shard.handle));
+            slots.push(shard.slot_cell);
         }
         ShardedFleet {
             route_scratch: vec![Vec::new(); n],
@@ -440,7 +452,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             slots,
             recovery,
             persistence,
-            dead_parked: Vec::new(),
         }
     }
 
@@ -561,19 +572,26 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// the split has committed and the parked updates have been applied by
     /// the children.
     pub fn flush(&self) {
-        let (ack_tx, ack_rx) = channel();
-        let expected = {
+        let receivers: Vec<_> = {
             let routing = self.routing.read().expect("routing poisoned");
-            for sender in &routing.senders {
-                sender
-                    .send(WorkerMsg::Flush(ack_tx.clone()))
-                    .expect("shard worker terminated while the facade is alive");
-            }
-            routing.senders.len()
+            routing
+                .senders
+                .iter()
+                .map(|sender| {
+                    let (ack, rx) = channel();
+                    sender
+                        .send(WorkerMsg::Flush(ack))
+                        .expect("shard worker terminated while the facade is alive");
+                    rx
+                })
+                .collect()
         };
-        drop(ack_tx);
-        for _ in 0..expected {
-            ack_rx.recv().expect("shard worker dropped a flush ack");
+        // A flush parked during a reshape is fanned out to every shard that
+        // takes over the slot, so each receiver yields one ack per worker
+        // that executed it and closes once the last one has.
+        for rx in receivers {
+            rx.recv().expect("shard worker dropped a flush ack");
+            for () in rx {}
         }
     }
 
@@ -607,8 +625,9 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                 .collect()
         };
         // Each receiver yields one ack per worker that executed the pass —
-        // normally one, but a pass parked during a split is fanned out to
-        // both children — and closes when the last ack sender is dropped.
+        // normally one, but a pass parked during a reshape is fanned out to
+        // every shard that takes over the slot — and closes when the last ack
+        // sender is dropped.
         let evicted: u64 = receivers.into_iter().flat_map(|rx| rx.into_iter()).sum();
         if let Some(registry) = self.config.obs.registry() {
             registry.counter(names::COMPACTION_PASSES_TOTAL, &[]).inc();

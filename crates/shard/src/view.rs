@@ -98,14 +98,26 @@ impl<T> EpochCell<T> {
 
     /// Attaches a publication waker to this cell. The cell holds it weakly,
     /// so dropping the last strong `Arc` detaches it; re-attaching the same
-    /// waker is a no-op, so callers can idempotently re-walk a fleet after a
-    /// topology change without growing the watcher list.
+    /// waker is a no-op, so watching a fleet twice does not grow the watcher
+    /// list.
     pub fn watch(&self, waker: &Arc<dyn PublishWaker>) {
         let mut watchers = self.watchers.lock().expect("watcher list poisoned");
         watchers.retain(|w| w.strong_count() > 0);
         if !watchers.iter().any(|w| w.ptr_eq(&Arc::downgrade(waker))) {
             watchers.push(Arc::downgrade(waker));
         }
+    }
+
+    /// Gives this fresh cell the watchers of `other`. A reshape hands the
+    /// roster's watchers to the shard cells it creates, so one
+    /// [`StoryView::watch`] covers every later topology.
+    pub(crate) fn watch_like<U>(&self, other: &EpochCell<U>) {
+        let watchers = other
+            .watchers
+            .lock()
+            .expect("watcher list poisoned")
+            .clone();
+        *self.watchers.lock().expect("watcher list poisoned") = watchers;
     }
 
     /// Wakes every live watcher, outside the slot lock (publication is
@@ -317,17 +329,23 @@ impl StoryView {
     /// cells hold the waker weakly — dropping the last strong `Arc` detaches
     /// it everywhere.
     ///
-    /// A split adds shard cells this call has not seen; because the roster
-    /// swap itself wakes the waker, a subscriber system re-calls `watch`
-    /// whenever it observes [`n_shards`](StoryView::n_shards) change, which
-    /// covers the new cells before any client can fall behind on them
-    /// (fresh split slots start with an empty delta ring anyway, so their
-    /// first publication forces a resync).
+    /// One call covers every later topology too: a split or merge attaches
+    /// the roster's watchers to each shard cell it creates before any of
+    /// them publishes, so there is nothing to re-watch.
     pub fn watch(&self, waker: &Arc<dyn PublishWaker>) {
         self.roster.watch(waker);
         for cell in &self.roster.load().cells {
             cell.watch(waker);
         }
+    }
+
+    /// This view pinned to the current topology: the pinned view answers
+    /// every read against this one roster, so a split or merge that commits
+    /// while a caller walks the shards cannot change the shard count under
+    /// it. Its shards keep publishing; only the set of shards is fixed.
+    pub fn pin(&self) -> StoryView {
+        let roster = EpochCell::new((*self.roster.load()).clone());
+        StoryView::new(Arc::new(roster), self.top_k)
     }
 
     /// The latest published snapshot of one shard.

@@ -9,12 +9,14 @@ use std::time::{Duration, Instant};
 use dyndens_core::{DenseEvent, MaintenanceEngine};
 use dyndens_graph::{EdgeUpdate, VertexSet};
 
+use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery;
 use crate::view::{DeltaBatch, DeltaRing, EpochCell, ShardSnapshot};
 use crate::wal::WalWriter;
 
 /// Messages a shard worker consumes.
+#[derive(Clone)]
 pub(crate) enum WorkerMsg {
     /// Apply one update.
     Update(EdgeUpdate),
@@ -57,6 +59,57 @@ pub(crate) struct WorkerPersistence {
     pub batches_since_snapshot: usize,
 }
 
+impl WorkerPersistence {
+    /// The durability half of a shard persisting into `dir` through `wal`.
+    pub(crate) fn new(p: &PersistenceConfig, dir: PathBuf, wal: WalWriter) -> Self {
+        WorkerPersistence {
+            wal,
+            dir,
+            snapshot_every: p.snapshot_every_batches,
+            retained: p.retained_snapshots,
+            batches_since_snapshot: 0,
+        }
+    }
+
+    /// Writes `bytes` as the checkpoint at `seq`, then rotates the WAL and
+    /// prunes it behind the oldest retained checkpoint. A failure is not
+    /// fatal: the WAL still covers the whole history since the last good
+    /// checkpoint, and the cadence counter is only reset on success, so the
+    /// next micro-batch retries instead of a full cadence later.
+    fn checkpoint(&mut self, shard: usize, seq: u64, bytes: &[u8], obs: Option<&ShardObs>) {
+        let started = obs.map(|_| Instant::now());
+        match recovery::write_snapshot(&self.dir, seq, bytes, self.retained) {
+            Ok(oldest_retained) => {
+                self.batches_since_snapshot = 0;
+                if let (Some(o), Some(t)) = (obs, started) {
+                    o.record_checkpoint(seq, bytes.len() as u64, t.elapsed());
+                }
+                if let Err(e) = self
+                    .wal
+                    .rotate(seq)
+                    .and_then(|()| self.wal.prune_to(oldest_retained))
+                {
+                    eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
+                }
+            }
+            Err(e) => eprintln!("shard {shard}: checkpoint at seq {seq} failed: {e}"),
+        }
+    }
+}
+
+/// Publishes one snapshot. Retention before visibility: the ring covers the
+/// new seq before the epoch pointer announces it, so a poller that observes
+/// the new seq can always fetch its deltas.
+fn publish(ring: &DeltaRing, cell: &EpochCell<ShardSnapshot>, snapshot: ShardSnapshot) {
+    let seq = snapshot.seq;
+    ring.push(DeltaBatch {
+        base_seq: snapshot.delta_base_seq,
+        seq,
+        events: Arc::clone(&snapshot.delta_events),
+    });
+    cell.store_with_seq(Arc::new(snapshot), seq);
+}
+
 /// Everything a worker thread is parameterised by at spawn time (beyond its
 /// shared engine/cell handles).
 pub(crate) struct WorkerSetup {
@@ -83,13 +136,16 @@ pub(crate) struct WorkerSetup {
 /// messages, WAL the drained micro-batch (durability first), apply it under
 /// a single engine lock, publish a fresh snapshot, acknowledge flushes,
 /// periodically checkpoint the engine, repeat.
+///
+/// On shutdown the worker hands its durability half back, so an aborted
+/// reshape can relaunch the shard on the same WAL writer.
 pub(crate) fn run<E: MaintenanceEngine>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
     engine: Arc<Mutex<E>>,
     cell: Arc<EpochCell<ShardSnapshot>>,
     ring: Arc<DeltaRing>,
-) {
+) -> Option<WorkerPersistence> {
     let WorkerSetup {
         slot,
         max_batch,
@@ -165,10 +221,7 @@ pub(crate) fn run<E: MaintenanceEngine>(
                 }
                 // Serialise the checkpoint image while the lock guarantees
                 // it corresponds exactly to `seq`; write it to disk after
-                // the lock is released. The cadence counter is only reset
-                // once the write succeeds, so a failed checkpoint (e.g.
-                // disk full) is retried on the next micro-batch instead of
-                // a full cadence later.
+                // the lock is released.
                 let checkpoint = match persist.as_mut() {
                     Some(p) => {
                         p.batches_since_snapshot += 1;
@@ -181,39 +234,13 @@ pub(crate) fn run<E: MaintenanceEngine>(
                     checkpoint,
                 )
             };
-            // Retention before visibility: the ring covers the new seq before
-            // the epoch pointer announces it, so a poller that observes the
-            // new seq can always fetch its deltas.
-            ring.push(DeltaBatch {
-                base_seq: delta_base_seq,
-                seq,
-                events: Arc::clone(&snapshot.delta_events),
-            });
             if let Some(o) = obs.as_ref() {
                 o.record_batch(batch_len, apply_elapsed);
                 o.set_engine_gauges(&snapshot.stats);
             }
-            cell.store_with_seq(Arc::new(snapshot), seq);
+            publish(&ring, &cell, snapshot);
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                // A failed checkpoint is not fatal: the WAL still covers the
-                // whole history since the last good snapshot.
-                let ckpt_started = obs.as_ref().map(|_| Instant::now());
-                match recovery::write_snapshot(&p.dir, seq, &bytes, p.retained) {
-                    Ok(oldest_retained) => {
-                        p.batches_since_snapshot = 0;
-                        if let (Some(o), Some(t)) = (obs.as_ref(), ckpt_started) {
-                            o.record_checkpoint(seq, bytes.len() as u64, t.elapsed());
-                        }
-                        if let Err(e) = p
-                            .wal
-                            .rotate(seq)
-                            .and_then(|()| p.wal.prune_to(oldest_retained))
-                        {
-                            eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("shard {shard}: snapshot write failed: {e}"),
-                }
+                p.checkpoint(shard, seq, &bytes, obs.as_ref());
             }
         }
         if let Some(Control::Compact { min_weight, ack }) = &control {
@@ -245,30 +272,9 @@ pub(crate) fn run<E: MaintenanceEngine>(
                     report.edges_evicted,
                 )
             };
-            ring.push(DeltaBatch {
-                base_seq: delta_base_seq,
-                seq,
-                events: Arc::clone(&snapshot.delta_events),
-            });
-            cell.store_with_seq(Arc::new(snapshot), seq);
+            publish(&ring, &cell, snapshot);
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                let ckpt_started = obs.as_ref().map(|_| Instant::now());
-                match recovery::write_snapshot(&p.dir, seq, &bytes, p.retained) {
-                    Ok(oldest_retained) => {
-                        p.batches_since_snapshot = 0;
-                        if let (Some(o), Some(t)) = (obs.as_ref(), ckpt_started) {
-                            o.record_checkpoint(seq, bytes.len() as u64, t.elapsed());
-                        }
-                        if let Err(e) = p
-                            .wal
-                            .rotate(seq)
-                            .and_then(|()| p.wal.prune_to(oldest_retained))
-                        {
-                            eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("shard {shard}: compaction checkpoint failed: {e}"),
-                }
+                p.checkpoint(shard, seq, &bytes, obs.as_ref());
             }
             // A dropped compaction waiter is not an error.
             let _ = ack.send(evicted);
@@ -281,6 +287,7 @@ pub(crate) fn run<E: MaintenanceEngine>(
             break;
         }
     }
+    persist
 }
 
 /// Folds one message into the drain buffers; a returned [`Control`] ends the

@@ -76,7 +76,7 @@ fn aborted_split_keeps_the_parent_and_a_retry_succeeds() {
     let seq_before = seq_total(&fleet);
     let handle = fleet.ingest_handle();
     let result = fleet.split_shard_with(0, |phase| {
-        if phase == SplitPhase::Parked {
+        if phase == ReshapePhase::Parked {
             for chunk in parked.chunks(128) {
                 handle.apply_batch(chunk);
             }
@@ -88,10 +88,15 @@ fn aborted_split_keeps_the_parent_and_a_retry_succeeds() {
     );
     assert_eq!(fleet.n_shards(), 2);
     assert_eq!(fleet.shard_map().generation(), 0);
+    let orphan = dir.join(format!("shard-{:04}", spec.child_zero_engine));
+    assert!(orphan.is_dir(), "the aborted split left child zero behind");
     // The updates that parked during the attempt were applied by the
     // relaunched parent, and the fleet keeps ingesting.
     ingest(&mut fleet, between);
+    // The relaunched parents kept their live engines, so the work ledger
+    // still counts every update exactly once.
     let applied = head.len() + parked.len() + between.len();
+    assert_eq!(fleet.stats().updates, applied as u64);
     assert_eq!(
         seq_total(&fleet),
         seq_before + (parked.len() + between.len()) as u64
@@ -150,7 +155,7 @@ fn aborted_merge_keeps_both_siblings_and_a_retry_succeeds() {
     let seq_before = seq_total(&fleet);
     let handle = fleet.ingest_handle();
     let result = fleet.merge_shards_with(0, split.new_slot, |phase| {
-        if phase == MergePhase::Parked {
+        if phase == ReshapePhase::Parked {
             for chunk in parked.chunks(128) {
                 handle.apply_batch(chunk);
             }
@@ -164,7 +169,10 @@ fn aborted_merge_keeps_both_siblings_and_a_retry_succeeds() {
     assert_eq!(fleet.shard_map().generation(), 1);
     // The shared parked backlog reached both relaunched siblings.
     ingest(&mut fleet, between);
+    // The relaunched parents kept their live engines, so the work ledger
+    // still counts every update exactly once.
     let applied = head.len() + parked.len() + between.len();
+    assert_eq!(fleet.stats().updates, applied as u64);
     assert_eq!(
         seq_total(&fleet),
         seq_before + (parked.len() + between.len()) as u64

@@ -72,7 +72,7 @@ fn split_mid_stream_matches_never_split_bit_identically() {
     let concurrent_applied = std::cell::Cell::new(0u64);
     let report = fleet
         .split_shard_with(0, |phase| {
-            if phase == SplitPhase::Parked {
+            if phase == ReshapePhase::Parked {
                 seq0_at_park.set(view.shard_seq(0));
                 let untouched_before = view.shard_seq(1);
                 for chunk in mid.chunks(128) {
@@ -210,7 +210,7 @@ fn merge_mid_stream_matches_never_merged_bit_identically() {
     let concurrent_applied = std::cell::Cell::new(0u64);
     let report = fleet
         .merge_shards_with(0, 2, |phase| {
-            if phase == MergePhase::Parked {
+            if phase == ReshapePhase::Parked {
                 merged_seq_at_park.set(view.shard_seq(0) + view.shard_seq(2));
                 let untouched_before = view.shard_seq(1);
                 for chunk in during.chunks(128) {
