@@ -123,6 +123,11 @@ impl Histogram {
         self.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
+    /// Records a [`std::time::Duration`] in whole nanoseconds.
+    pub fn record_nanos(&self, elapsed: std::time::Duration) {
+        self.record(elapsed.as_nanos().min(u64::MAX as u128) as u64);
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)

@@ -114,8 +114,8 @@ impl ObsHandle {
 /// The metric-name catalog: every name the DynDens subsystems register,
 /// as constants so instrumentation sites, benches, CI gates and
 /// `docs/OBSERVABILITY.md` cannot drift apart. Label keys are noted per
-/// constant; units are in the name suffix (`_us` microseconds, `_bytes`,
-/// `_total` monotone counts).
+/// constant; units are in the name suffix (`_us` microseconds, `_ns`
+/// nanoseconds, `_bytes`, `_total` monotone counts).
 pub mod names {
     /// Counter `{shard}`: updates routed to a shard's queue (adopted from
     /// the router's hot-path cell).
@@ -124,8 +124,12 @@ pub mod names {
     pub const SHARD_BATCHES_APPLIED_TOTAL: &str = "dyndens_shard_batches_applied_total";
     /// Counter `{shard}`: updates applied by the worker.
     pub const SHARD_UPDATES_APPLIED_TOTAL: &str = "dyndens_shard_updates_applied_total";
-    /// Histogram `{shard}`: engine apply latency per micro-batch, µs.
+    /// Histogram `{shard}`: engine apply latency per micro-batch, µs
+    /// (excludes publication).
     pub const SHARD_APPLY_LATENCY_US: &str = "dyndens_shard_apply_latency_us";
+    /// Histogram `{shard}`: publication latency per micro-batch (rendering
+    /// the snapshot and storing it into the delta ring and epoch cell), ns.
+    pub const SHARD_PUBLISH_LATENCY_NS: &str = "dyndens_shard_publish_latency_ns";
     /// Histogram `{shard}`: updates per applied micro-batch.
     pub const SHARD_BATCH_SIZE: &str = "dyndens_shard_batch_size";
     /// Gauge `{shard}`: routed-minus-applied backlog, refreshed on

@@ -208,16 +208,20 @@ pub(crate) fn run<E: MaintenanceEngine>(
             let batch_len = pending.len();
             let apply_started = obs.as_ref().map(|_| Instant::now());
             let mut apply_elapsed = Duration::ZERO;
-            let (snapshot, checkpoint) = {
+            let (snapshot, checkpoint, publish_started) = {
                 let mut guard = engine.lock().expect("shard engine poisoned");
                 for update in pending.drain(..) {
                     guard.apply_update_into(update, &mut events);
                     seq += 1;
                 }
                 // Apply latency as the worker experienced it: lock wait plus
-                // the engine work, excluding checkpoint serialisation.
+                // the engine work, excluding checkpoint serialisation and
+                // publication.
                 if let Some(t) = apply_started {
                     apply_elapsed = t.elapsed();
+                }
+                if let Some(o) = obs.as_ref() {
+                    o.set_engine_gauges(guard.stats());
                 }
                 // Serialise the checkpoint image while the lock guarantees
                 // it corresponds exactly to `seq`; write it to disk after
@@ -229,16 +233,18 @@ pub(crate) fn run<E: MaintenanceEngine>(
                     }
                     None => None,
                 };
+                let publish_started = obs.as_ref().map(|_| Instant::now());
                 (
                     build_snapshot(shard, &mut *guard, seq, delta_base_seq, &events, top_k),
                     checkpoint,
+                    publish_started,
                 )
             };
-            if let Some(o) = obs.as_ref() {
-                o.record_batch(batch_len, apply_elapsed);
-                o.set_engine_gauges(&snapshot.stats);
-            }
             publish(&ring, &cell, snapshot);
+            if let (Some(o), Some(t)) = (obs.as_ref(), publish_started) {
+                o.record_publish(t.elapsed());
+                o.record_batch(batch_len, apply_elapsed);
+            }
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
                 p.checkpoint(shard, seq, &bytes, obs.as_ref());
             }
@@ -252,7 +258,7 @@ pub(crate) fn run<E: MaintenanceEngine>(
             // operation.
             events.clear();
             let delta_base_seq = seq;
-            let (snapshot, checkpoint, evicted) = {
+            let (snapshot, checkpoint, evicted, publish_started) = {
                 let mut guard = engine.lock().expect("shard engine poisoned");
                 let victims = guard.edges_below(*min_weight);
                 if let Some(p) = persist.as_mut() {
@@ -266,13 +272,18 @@ pub(crate) fn run<E: MaintenanceEngine>(
                 debug_assert_eq!(report.edges_evicted as usize, victims.len());
                 seq += report.edges_evicted;
                 let checkpoint = persist.is_some().then(|| guard.snapshot());
+                let publish_started = obs.as_ref().map(|_| Instant::now());
                 (
                     build_snapshot(shard, &mut *guard, seq, delta_base_seq, &events, top_k),
                     checkpoint,
                     report.edges_evicted,
+                    publish_started,
                 )
             };
             publish(&ring, &cell, snapshot);
+            if let (Some(o), Some(t)) = (obs.as_ref(), publish_started) {
+                o.record_publish(t.elapsed());
+            }
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
                 p.checkpoint(shard, seq, &bytes, obs.as_ref());
             }
