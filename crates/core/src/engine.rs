@@ -8,6 +8,7 @@ use crate::config::{DeltaIt, DynDensConfig};
 use crate::events::{DenseEvent, EngineStats};
 use crate::heuristics::{DegreePrioritize, MaxExploreBound};
 use crate::index::{NodeId, SubgraphIndex, SubgraphInfo};
+use crate::ranking::Ranking;
 
 /// Per-update exploration context shared by the recursive exploration
 /// procedures.
@@ -56,6 +57,10 @@ pub struct DynDens<D: DensityMeasure> {
     pub(crate) recovering: bool,
     /// Scratch buffer reused by `canonical_order` (hot path, per update).
     pub(crate) order_scratch: Vec<([u32; SubgraphIndex::PATH_KEY_WIDTH], NodeId)>,
+    /// The output-dense ranking as of the last
+    /// [`ranked_output`](Self::ranked_output), brought up to date from the
+    /// index's dirty set on the next one.
+    pub(crate) ranking: Ranking,
 }
 
 impl<D: DensityMeasure> DynDens<D> {
@@ -95,6 +100,7 @@ impl<D: DensityMeasure> DynDens<D> {
             stats: EngineStats::default(),
             recovering: false,
             order_scratch: Vec::new(),
+            ranking: Ranking::default(),
         }
     }
 
@@ -108,7 +114,11 @@ impl<D: DensityMeasure> DynDens<D> {
         &self.thresholds
     }
 
+    /// Mutable thresholds. A threshold change can move every subgraph in or
+    /// out of the output-dense band, so the ranking is rebuilt on its next
+    /// read.
     pub(crate) fn thresholds_mut(&mut self) -> &mut ThresholdFamily<D> {
+        self.ranking.invalidate();
         &mut self.thresholds
     }
 
@@ -174,6 +184,7 @@ impl<D: DensityMeasure> DynDens<D> {
             stats: EngineStats::default(),
             recovering: false,
             order_scratch: Vec::new(),
+            ranking: Ranking::default(),
         };
         let (mut zero, mut one) = (child(), child());
         for (a, b, w) in self.graph.edges() {
@@ -236,6 +247,7 @@ impl<D: DensityMeasure> DynDens<D> {
         }
         self.epoch = self.epoch.max(other.epoch);
         self.stats.merge(&other.stats);
+        self.ranking.invalidate();
     }
 
     /// Marks the engine as replaying already-counted updates (WAL recovery).
@@ -283,11 +295,11 @@ impl<D: DensityMeasure> DynDens<D> {
     /// through `*` markers, matching the accounting of the paper's Table 2).
     pub fn output_dense_subgraphs(&self) -> Vec<(VertexSet, f64)> {
         self.index
-            .iter()
-            .filter(|(_, v, info)| self.thresholds.is_output_dense(info.score, v.len()))
-            .map(|(_, v, info)| {
-                let density = self.thresholds.measure().density(info.score, v.len());
-                (v, density)
+            .infos()
+            .filter(|&(_, card, info)| self.thresholds.is_output_dense(info.score, card))
+            .map(|(id, card, info)| {
+                let density = self.thresholds.measure().density(info.score, card);
+                (self.index.vertices(id), density)
             })
             .collect()
     }
@@ -295,8 +307,8 @@ impl<D: DensityMeasure> DynDens<D> {
     /// Number of explicitly maintained output-dense subgraphs.
     pub fn output_dense_count(&self) -> usize {
         self.index
-            .iter()
-            .filter(|(_, v, info)| self.thresholds.is_output_dense(info.score, v.len()))
+            .infos()
+            .filter(|&(_, card, info)| self.thresholds.is_output_dense(info.score, card))
             .count()
     }
 

@@ -101,6 +101,9 @@ impl<D: DensityMeasure> DynDens<D> {
             self.apply_update_into(u, events);
         }
         let isolated_after = self.graph.reclaim_isolated();
+        // A pass may touch much of the family: rebuild the ranking rather
+        // than merge a dirty set that large.
+        self.ranking.invalidate();
         report.vertices_orphaned = (isolated_after - isolated_before) as u64;
         // The ledger keeps counting through an eviction (it is stream work),
         // so the per-pass deltas are recovered by differencing — except in

@@ -18,6 +18,19 @@
 //! all one-vertex extensions of the subgraph without materialising them.
 //! Marked nodes are tracked in a separate set so the engine can iterate over
 //! them on every update (the paper's `*` inverted list).
+//!
+//! The three mutators that change a subgraph's score or existence —
+//! [`insert`](SubgraphIndex::insert), [`remove`](SubgraphIndex::remove) and
+//! [`add_score`](SubgraphIndex::add_score) — also record the subgraph's node
+//! in a **dirty set**, once until the set is cleared. The engine's
+//! output-dense ranking re-ranks only those nodes when it is read. A node id
+//! freed by a removal may be reused by a later insertion; its dirty flag
+//! lives beside the arena rather than in the node, so it survives the reuse
+//! and a ranking row left by the removed subgraph is
+//! dropped even though the id now names another subgraph. The set never
+//! grows beyond the family it describes: once it would hold more nodes than
+//! the index stores subgraphs, it collapses into an "everything changed"
+//! mark and stops recording, so an engine nobody reads keeps bounded memory.
 
 use dyndens_graph::{FxHashMap, FxHashSet, VertexId, VertexSet};
 
@@ -26,7 +39,7 @@ use dyndens_graph::{FxHashMap, FxHashSet, VertexId, VertexSet};
 pub struct NodeId(u32);
 
 impl NodeId {
-    const ROOT: NodeId = NodeId(0);
+    pub(crate) const ROOT: NodeId = NodeId(0);
 
     #[inline]
     fn idx(self) -> usize {
@@ -104,6 +117,15 @@ pub struct SubgraphIndex {
     star_bases: FxHashSet<NodeId>,
     /// Number of subgraphs (nodes with info).
     len: usize,
+    /// Nodes whose subgraph changed score or existence since the last
+    /// [`clear_dirty`](Self::clear_dirty), each once.
+    dirty: Vec<NodeId>,
+    /// Membership flags of `dirty`, one per arena slot: compact, so a
+    /// ranking can test every row against them cheaply.
+    dirty_flags: Vec<bool>,
+    /// The dirty set outgrew the family: every subgraph counts as changed,
+    /// and nothing more is recorded until the next clear.
+    dirty_overflow: bool,
 }
 
 impl Default for SubgraphIndex {
@@ -123,6 +145,9 @@ impl SubgraphIndex {
             inverted: FxHashMap::default(),
             star_bases: FxHashSet::default(),
             len: 0,
+            dirty: Vec::new(),
+            dirty_flags: vec![false],
+            dirty_overflow: false,
         }
     }
 
@@ -171,6 +196,7 @@ impl SubgraphIndex {
             None => {
                 let id = NodeId(self.nodes.len() as u32);
                 self.nodes.push(Node::new(vertex, parent, depth));
+                self.dirty_flags.push(false);
                 id
             }
         };
@@ -273,6 +299,7 @@ impl SubgraphIndex {
             self.len += 1;
         }
         self.node_mut(cur).info = Some(info);
+        self.mark_dirty(cur);
         cur
     }
 
@@ -284,6 +311,7 @@ impl SubgraphIndex {
             self.len -= 1;
         }
         self.node_mut(id).info = None;
+        self.mark_dirty(id);
         self.set_star(id, false);
         // Prune upwards while the node is an info-less, childless, non-root leaf.
         let mut cur = id;
@@ -317,14 +345,22 @@ impl SubgraphIndex {
     /// the parent pointers.
     pub fn vertices(&self, id: NodeId) -> VertexSet {
         let mut vs = Vec::with_capacity(self.node(id).depth as usize);
+        self.push_path(id, &mut vs);
+        VertexSet::from_sorted(vs)
+    }
+
+    /// Appends the vertices of `id`'s path to `out`, in ascending order.
+    pub fn push_path(&self, id: NodeId, out: &mut Vec<VertexId>) {
+        let start = out.len();
+        out.resize(start + self.node(id).depth as usize, VertexId(0));
+        let mut i = out.len();
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
-            vs.push(n.vertex);
+            i -= 1;
+            out[i] = n.vertex;
             cur = n.parent;
         }
-        vs.reverse();
-        VertexSet::from_vertices(vs)
     }
 
     /// The cardinality of the subgraph at `id`.
@@ -416,9 +452,69 @@ impl SubgraphIndex {
     /// Adds `delta` to the score of the subgraph at `id`, returning the new
     /// score.
     pub fn add_score(&mut self, id: NodeId, delta: f64) -> f64 {
+        self.mark_dirty(id);
         let info = self.info_mut(id);
         info.score += delta;
         info.score
+    }
+
+    /// Records `id` in the dirty set (see the [module docs](self)).
+    fn mark_dirty(&mut self, id: NodeId) {
+        if self.dirty_overflow {
+            return;
+        }
+        let flag = &mut self.dirty_flags[id.idx()];
+        if !*flag {
+            *flag = true;
+            self.dirty.push(id);
+        }
+        // A removal shrinks the family, so check even when `id` was
+        // already recorded.
+        if self.dirty.len() > self.len {
+            self.clear_dirty();
+            self.dirty_overflow = true;
+        }
+    }
+
+    /// The nodes whose subgraph was inserted, removed or re-scored since the
+    /// last [`clear_dirty`](Self::clear_dirty), each once; `None` when the
+    /// set outgrew the family and every subgraph must be treated as changed.
+    /// A listed node may since have been freed, or reused by another
+    /// subgraph: see [`stored_info`](Self::stored_info).
+    pub(crate) fn dirty(&self) -> Option<&[NodeId]> {
+        (!self.dirty_overflow).then_some(self.dirty.as_slice())
+    }
+
+    /// Number of nodes in the dirty set; never more than [`len`](Self::len).
+    pub fn dirty_len(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// `true` if `id` is in the dirty set, whether or not it still stores a
+    /// subgraph.
+    #[inline]
+    pub(crate) fn is_dirty(&self, id: NodeId) -> bool {
+        self.dirty_flags[id.idx()]
+    }
+
+    /// Empties the dirty set and lifts an overflow.
+    pub(crate) fn clear_dirty(&mut self) {
+        for id in self.dirty.drain(..) {
+            self.dirty_flags[id.idx()] = false;
+        }
+        self.dirty_overflow = false;
+    }
+
+    /// The info record of `id` if the node is live and stores a subgraph.
+    /// Unlike [`info`](Self::info), this accepts ids of freed nodes (as a
+    /// dirty set may list them).
+    pub(crate) fn stored_info(&self, id: NodeId) -> Option<&SubgraphInfo> {
+        let n = &self.nodes[id.idx()];
+        if n.in_use {
+            n.info.as_ref()
+        } else {
+            None
+        }
     }
 
     /// Sets or clears the `*` (implicit too-dense) marker on the subgraph at
@@ -537,15 +633,19 @@ impl SubgraphIndex {
         out
     }
 
+    /// Iterates over every stored subgraph as `(node, cardinality, info)`,
+    /// without materialising vertex sets.
+    pub fn infos(&self) -> impl Iterator<Item = (NodeId, usize, &SubgraphInfo)> + '_ {
+        self.nodes.iter().enumerate().filter_map(|(i, n)| {
+            let info = n.info.as_ref().filter(|_| n.in_use)?;
+            Some((NodeId(i as u32), n.depth as usize, info))
+        })
+    }
+
     /// Iterates over every stored subgraph as `(node, vertices, info)`.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, VertexSet, &SubgraphInfo)> + '_ {
-        self.nodes.iter().enumerate().filter_map(move |(i, n)| {
-            if !n.in_use {
-                return None;
-            }
-            let id = NodeId(i as u32);
-            n.info.as_ref().map(|info| (id, self.vertices(id), info))
-        })
+        self.infos()
+            .map(|(id, _, info)| (id, self.vertices(id), info))
     }
 
     /// The node ids of every stored subgraph.
@@ -560,8 +660,20 @@ impl SubgraphIndex {
 
     /// Internal consistency check used by tests: inverted lists reference
     /// exactly the in-use nodes with the corresponding vertex label, the
-    /// subgraph count matches, and star markers refer to stored subgraphs.
+    /// subgraph count matches, star markers refer to stored subgraphs, and
+    /// the dirty flags match a dirty set no larger than the family.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let flagged = self.dirty_flags.iter().filter(|&&f| f).count();
+        if flagged != self.dirty.len() || self.dirty.iter().any(|&id| !self.is_dirty(id)) {
+            return Err("dirty flags disagree with the dirty set".to_string());
+        }
+        if self.dirty.len() > self.len {
+            return Err(format!(
+                "dirty set of {} outgrew the family of {}",
+                self.dirty.len(),
+                self.len
+            ));
+        }
         let mut info_count = 0usize;
         let mut labelled: FxHashMap<VertexId, usize> = FxHashMap::default();
         for (i, n) in self.nodes.iter().enumerate() {

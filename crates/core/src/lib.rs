@@ -24,6 +24,9 @@
 //! * [`threshold_update`] — dynamic threshold adjustment (Section 6).
 //! * [`evict`] — decay-driven eviction of fully-decayed edges and orphaned
 //!   vertices, the engine half of memory-bounded forever-runs.
+//! * [`ranking`] — the story order, the flat [`StoryTable`] shards publish,
+//!   and the output-dense ranking the engine keeps up to date from the
+//!   index's dirty set.
 //! * [`maintenance`] — the pluggable-backend seam: the [`MaintenanceEngine`]
 //!   trait the sharded subsystem is generic over, and the
 //!   [`EngineBlueprint`] factories that build/restore/pin engines.
@@ -59,6 +62,7 @@ pub mod evict;
 pub mod heuristics;
 pub mod index;
 pub mod maintenance;
+pub mod ranking;
 pub mod snapshot;
 pub mod threshold_update;
 
@@ -69,6 +73,7 @@ pub use evict::EvictionReport;
 pub use heuristics::{DegreePrioritize, MaxExploreBound};
 pub use index::{NodeId, SubgraphIndex, SubgraphInfo};
 pub use maintenance::{encode_config_params, DynDensBlueprint, EngineBlueprint, MaintenanceEngine};
+pub use ranking::{sort_stories, story_order, StoryTable};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 // Re-export the substrate crates so downstream users only need one dependency.

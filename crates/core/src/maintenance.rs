@@ -42,6 +42,7 @@ use crate::config::{DeltaIt, DynDensConfig};
 use crate::engine::DynDens;
 use crate::events::{DenseEvent, EngineStats};
 use crate::evict::EvictionReport;
+use crate::ranking::{sort_stories, StoryTable};
 use crate::snapshot::SnapshotError;
 
 /// One shard's worth of dense-subgraph maintenance state, behind a
@@ -63,6 +64,21 @@ pub trait MaintenanceEngine: Clone + std::fmt::Debug + Send + 'static {
     /// Every maintained subgraph (the possibly-larger internal family), with
     /// its score. Backends without an internal band return the output set.
     fn dense_subgraphs(&mut self) -> Vec<(VertexSet, f64)>;
+
+    /// The output-dense subgraphs in
+    /// [`story_order`](crate::ranking::story_order), cut to the first
+    /// `top_k`, with the size of the whole output-dense family: what a shard
+    /// publishes after every micro-batch. The default sorts
+    /// [`output_dense_subgraphs`](Self::output_dense_subgraphs); an engine
+    /// that keeps its ranking between reads must return the same rows, bit
+    /// for bit.
+    fn ranked_output(&mut self, top_k: usize) -> (StoryTable, usize) {
+        let mut stories = self.output_dense_subgraphs();
+        let total = stories.len();
+        sort_stories(&mut stories);
+        stories.truncate(top_k);
+        (StoryTable::from_stories(&stories), total)
+    }
 
     /// Number of output-dense subgraphs.
     fn output_dense_count(&mut self) -> usize {
@@ -235,6 +251,10 @@ impl<D: DensityMeasure> MaintenanceEngine for DynDens<D> {
 
     fn dense_subgraphs(&mut self) -> Vec<(VertexSet, f64)> {
         DynDens::dense_subgraphs(self)
+    }
+
+    fn ranked_output(&mut self, top_k: usize) -> (StoryTable, usize) {
+        DynDens::ranked_output(self, top_k)
     }
 
     fn output_dense_count(&mut self) -> usize {

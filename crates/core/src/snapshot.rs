@@ -371,6 +371,7 @@ impl<D: DensityMeasure> DynDens<D> {
             stats,
             recovering: false,
             order_scratch: Vec::new(),
+            ranking: Default::default(),
         })
     }
 }

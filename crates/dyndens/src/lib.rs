@@ -52,8 +52,8 @@ pub use dyndens_workloads as workloads;
 pub mod prelude {
     pub use dyndens_baselines::{RecomputeBlueprint, TopKPeelingBlueprint};
     pub use dyndens_core::{
-        DenseEvent, DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint, EngineStats,
-        MaintenanceEngine,
+        sort_stories, DenseEvent, DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint,
+        EngineStats, MaintenanceEngine, StoryTable,
     };
     pub use dyndens_density::{AvgDegree, AvgWeight, DensityMeasure, SqrtDens, ThresholdFamily};
     pub use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};

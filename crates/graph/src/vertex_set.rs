@@ -28,6 +28,18 @@ impl VertexSet {
         VertexSet { vertices: v }
     }
 
+    /// Creates a vertex set from vertices that are already strictly
+    /// ascending (a prefix-tree path, a row of a story table), skipping the
+    /// sort and de-duplication of [`from_vertices`](Self::from_vertices).
+    /// The order is checked in debug builds.
+    pub fn from_sorted(vertices: Vec<VertexId>) -> Self {
+        debug_assert!(
+            vertices.windows(2).all(|w| w[0] < w[1]),
+            "vertices must be strictly ascending"
+        );
+        VertexSet { vertices }
+    }
+
     /// Creates a vertex set from a slice of raw `u32` identifiers
     /// (convenience for tests and examples).
     pub fn from_ids(ids: &[u32]) -> Self {

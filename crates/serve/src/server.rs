@@ -658,7 +658,7 @@ pub(crate) fn poll_entries(
                 entries.push(ShardPoll::Resync {
                     shard: shard as u32,
                     seq: snapshot.seq,
-                    stories: snapshot.top_stories.clone(),
+                    stories: snapshot.top_stories.to_vec(),
                 });
                 *slot = snapshot.seq;
             }

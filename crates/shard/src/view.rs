@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use dyndens_core::{DenseEvent, EngineStats};
+use dyndens_core::{story_order, DenseEvent, EngineStats, StoryTable};
 use dyndens_graph::VertexSet;
 
 /// A publication callback attached to an [`EpochCell`] (or, through
@@ -23,17 +23,6 @@ pub trait PublishWaker: Send + Sync {
     /// sequence number at publication (unchanged for plain [`EpochCell::store`]
     /// publications such as roster swaps).
     fn wake(&self, seq: u64);
-}
-
-/// Sorts stories densest first, with ties broken by vertex set so snapshots
-/// are deterministic. Shared by the per-shard publication path and the merged
-/// view so the two orderings can never diverge.
-pub(crate) fn sort_stories(stories: &mut [(VertexSet, f64)]) {
-    stories.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
 }
 
 /// An ArcSwap-style epoch pointer: writers publish immutable snapshots by
@@ -244,9 +233,11 @@ pub struct ShardSnapshot {
     /// Number of updates this shard has applied so far. Monotone; readers can
     /// use it to detect progress and to order snapshots of the same shard.
     pub seq: u64,
-    /// The shard's current output-dense subgraphs, densest first (ties broken
-    /// by vertex set), truncated to the configured `top_k`.
-    pub top_stories: Vec<(VertexSet, f64)>,
+    /// The shard's current output-dense subgraphs in
+    /// [`story_order`] (densest first, ties
+    /// broken by vertex set), truncated to the configured `top_k`: one flat
+    /// table whose buffers every clone of the snapshot shares.
+    pub top_stories: StoryTable,
     /// Total number of output-dense subgraphs in the shard (may exceed
     /// `top_stories.len()`).
     pub output_dense: usize,
@@ -398,12 +389,7 @@ impl StoryView {
         let per_shard_seq: Vec<u64> = shards.iter().map(|s| s.seq).collect();
         let seq = per_shard_seq.iter().sum();
         let output_dense_total = shards.iter().map(|s| s.output_dense).sum();
-        let mut stories: Vec<(VertexSet, f64)> = shards
-            .iter()
-            .flat_map(|s| s.top_stories.iter().cloned())
-            .collect();
-        sort_stories(&mut stories);
-        stories.truncate(self.top_k);
+        let stories = merge_top_k(shards.iter().map(|s| &s.top_stories), self.top_k);
         MergedStories {
             seq,
             per_shard_seq,
@@ -421,19 +407,49 @@ impl StoryView {
     }
 }
 
+/// The first `top_k` stories of the union of `tables`, each already in
+/// story order: a k-way merge that stops at `top_k` and builds a
+/// [`VertexSet`] only for the stories it returns. Equal to sorting the
+/// concatenation; between rows that compare equal (the same story in two
+/// tables) the earlier table goes first.
+fn merge_top_k<'a>(
+    tables: impl Iterator<Item = &'a StoryTable>,
+    top_k: usize,
+) -> Vec<(VertexSet, f64)> {
+    let mut heads: Vec<_> = tables.map(|t| t.iter().peekable()).collect();
+    let mut stories = Vec::new();
+    while stories.len() < top_k {
+        let best = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, rows)| rows.peek().map(|&row| (i, row)))
+            .min_by(|a, b| story_order(a.1, b.1));
+        let Some((i, (vertices, density))) = best else {
+            break;
+        };
+        heads[i].next();
+        stories.push((VertexSet::from_sorted(vertices.to_vec()), density));
+    }
+    stories
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyndens_core::sort_stories;
     use dyndens_graph::VertexSet;
 
+    /// A shard snapshot of `stories`, ranked as a worker publishes them.
     fn snap(shard: usize, seq: u64, stories: &[(&[u32], f64)]) -> ShardSnapshot {
+        let mut stories: Vec<(VertexSet, f64)> = stories
+            .iter()
+            .map(|(ids, d)| (VertexSet::from_ids(ids), *d))
+            .collect();
+        sort_stories(&mut stories);
         ShardSnapshot {
             shard,
             seq,
-            top_stories: stories
-                .iter()
-                .map(|(ids, d)| (VertexSet::from_ids(ids), *d))
-                .collect(),
+            top_stories: StoryTable::from_stories(&stories),
             output_dense: stories.len(),
             ..Default::default()
         }
@@ -560,6 +576,44 @@ mod tests {
         assert_eq!(view.shard_snapshot(1).seq, 5);
         assert_eq!(view.shard_seq(0), 10);
         assert_eq!(view.per_shard_seq(), vec![10, 5]);
+    }
+
+    #[test]
+    fn merged_snapshot_breaks_cross_shard_density_ties_by_vertex_set() {
+        // Three shards whose stories share densities: the merge must
+        // interleave them by vertex set exactly as a sort of the
+        // concatenation would.
+        let per_shard: [&[(&[u32], f64)]; 3] = [
+            &[(&[2, 6], 1.5), (&[0, 4, 8], 1.25), (&[4, 12], 1.25)],
+            &[(&[1, 5], 1.5), (&[1, 9], 1.25), (&[5, 9], 1.0)],
+            &[(&[3, 7], 1.5), (&[0, 4], 1.25)],
+        ];
+        let cells: Vec<_> = per_shard
+            .iter()
+            .enumerate()
+            .map(|(i, stories)| EpochCell::new(snap(i, 1, stories)))
+            .collect();
+        let mut want: Vec<(VertexSet, f64)> = per_shard
+            .iter()
+            .flat_map(|s| s.iter().map(|(ids, d)| (VertexSet::from_ids(ids), *d)))
+            .collect();
+        sort_stories(&mut want);
+        let ids = |ids: &[u32]| VertexSet::from_ids(ids);
+        assert_eq!(
+            want.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
+            vec![
+                ids(&[1, 5]),
+                ids(&[2, 6]),
+                ids(&[3, 7]),
+                ids(&[0, 4]),
+                ids(&[0, 4, 8]),
+                ids(&[1, 9]),
+                ids(&[4, 12]),
+                ids(&[5, 9]),
+            ]
+        );
+        let view = view_of(cells, 6);
+        assert_eq!(view.snapshot().stories, want[..6].to_vec());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dyndens_core::{DenseEvent, MaintenanceEngine};
-use dyndens_graph::{EdgeUpdate, VertexSet};
+use dyndens_graph::EdgeUpdate;
 
 use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
@@ -320,7 +320,10 @@ fn absorb(
     None
 }
 
-/// Renders the engine's current answer into an immutable snapshot.
+/// Renders the engine's current answer into an immutable snapshot: its
+/// ranking cut to `top_k` (a [`MaintenanceEngine::ranked_output`] table,
+/// re-ranked from the engine's changes rather than re-sorted), the family
+/// size, the work ledger and the micro-batch's events.
 pub(crate) fn build_snapshot<E: MaintenanceEngine>(
     shard: usize,
     engine: &mut E,
@@ -329,14 +332,11 @@ pub(crate) fn build_snapshot<E: MaintenanceEngine>(
     events: &[DenseEvent],
     top_k: usize,
 ) -> ShardSnapshot {
-    let mut stories: Vec<(VertexSet, f64)> = engine.output_dense_subgraphs();
-    let output_dense = stories.len();
-    crate::view::sort_stories(&mut stories);
-    stories.truncate(top_k);
+    let (top_stories, output_dense) = engine.ranked_output(top_k);
     ShardSnapshot {
         shard,
         seq,
-        top_stories: stories,
+        top_stories,
         output_dense,
         stats: engine.stats().clone(),
         delta_base_seq,
