@@ -25,12 +25,12 @@
 //! in a **dirty set**, once until the set is cleared. The engine's
 //! output-dense ranking re-ranks only those nodes when it is read. A node id
 //! freed by a removal may be reused by a later insertion; its dirty flag
-//! lives beside the arena rather than in the node, so it survives the reuse
-//! and a ranking row left by the removed subgraph is
-//! dropped even though the id now names another subgraph. The set never
-//! grows beyond the family it describes: once it would hold more nodes than
-//! the index stores subgraphs, it collapses into an "everything changed"
-//! mark and stops recording, so an engine nobody reads keeps bounded memory.
+//! lives beside the arena rather than in the node, so it survives the reuse,
+//! and a ranking row left by the removed subgraph is dropped even though the
+//! id now names another subgraph. The set never grows beyond the family it
+//! describes: once it would hold more nodes than the index stores
+//! subgraphs, it collapses into an "everything changed" mark and stops
+//! recording, so an engine nobody reads keeps bounded memory.
 
 use dyndens_graph::{FxHashMap, FxHashSet, VertexId, VertexSet};
 
@@ -350,7 +350,7 @@ impl SubgraphIndex {
     }
 
     /// Appends the vertices of `id`'s path to `out`, in ascending order.
-    pub fn push_path(&self, id: NodeId, out: &mut Vec<VertexId>) {
+    pub(crate) fn push_path(&self, id: NodeId, out: &mut Vec<VertexId>) {
         let start = out.len();
         out.resize(start + self.node(id).depth as usize, VertexId(0));
         let mut i = out.len();

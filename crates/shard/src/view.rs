@@ -233,10 +233,10 @@ pub struct ShardSnapshot {
     /// Number of updates this shard has applied so far. Monotone; readers can
     /// use it to detect progress and to order snapshots of the same shard.
     pub seq: u64,
-    /// The shard's current output-dense subgraphs in
-    /// [`story_order`] (densest first, ties
-    /// broken by vertex set), truncated to the configured `top_k`: one flat
-    /// table whose buffers every clone of the snapshot shares.
+    /// The shard's current output-dense subgraphs in [`story_order`]
+    /// (densest first, ties broken by vertex set), truncated to the
+    /// configured `top_k`: one flat table whose buffers every clone of the
+    /// snapshot shares.
     pub top_stories: StoryTable,
     /// Total number of output-dense subgraphs in the shard (may exceed
     /// `top_stories.len()`).
